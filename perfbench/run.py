@@ -4,7 +4,7 @@
         --seed N --seconds S --trace {0,1}
 
 Imports the package from ``src/`` beside this directory; nothing is built or
-installed. Inputs are generated from ``--seed``. The timed phase runs at least
+installed. Inputs are generated from ``--seed``. The timed phase runs for about
 ``--seconds`` (and at least a minimum sample count). Human-readable lines come
 first; the last line is one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``:
@@ -51,6 +51,10 @@ def main(argv=None):
     # spin-waiting competes with the Python thread and widens the run-to-run spread.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    # NumPy asks for transparent huge pages on large arrays; whether the kernel
+    # grants them depends on the machine's free memory, and each grant rounds
+    # resident memory up to 2 MB, so peak_rss_mb jumped by 13 MB between runs.
+    os.environ["NUMPY_MADVISE_HUGEPAGE"] = "0"
     if args.seconds <= 0:
         print("error: --seconds must be positive", file=sys.stderr)
         return 2

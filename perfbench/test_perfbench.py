@@ -39,6 +39,14 @@ def test_schedule_is_reproducible_and_stratified():
         assert max(strokes) >= members[3 * len(members) // 4]
 
 
+def test_recognize_ends_at_the_cycle_boundary_nearest_the_budget():
+    # cycles of 7 s against a 40 s budget: stop after 6 (42 s), not 5 (35 s)
+    assert not workloads._cycle_ends_run(35.0, 5, 40.0)
+    assert workloads._cycle_ends_run(42.0, 6, 40.0)
+    # cycles of 9 s: stop after 4 (36 s), nearer than 5 (45 s)
+    assert workloads._cycle_ends_run(36.0, 4, 40.0)
+
+
 def test_van_der_corput_quantiles_are_distinct_and_inside():
     qs = [workloads.van_der_corput(k) for k in range(1, 65)]
     assert qs[:4] == [0.5, 0.25, 0.75, 0.125]
