@@ -16,8 +16,7 @@ from .ink import (InkExpression, Stroke, normalize_expression, parse_inkml,
                   parse_lg, resample_stroke)
 from .labels import (AlignedLabels, LabelGraph, Vocabulary, align_labels,
                      decode_labels, serialize_lg)
-from .metrics import (build_report, confusion_histograms, expression_metrics,
-                      export_attention, length_breakdown, primitive_accuracy)
+from .metrics import build_report, confusion_histograms, expression_metrics
 from .model import ModelConfig, forward, init_parameters
 from .synth import compose, generate_synthetic
 from .train import TrainConfig, fit, total_loss
@@ -29,10 +28,9 @@ __all__ = [
     "ModeledGraph", "ModelConfig", "PlateauScheduler", "Stroke", "Tape",
     "Tensor", "TrainConfig", "Vocabulary", "align_labels", "augment_global",
     "backward", "build_local_graph", "build_report", "compose",
-    "confusion_histograms", "decode_labels", "expression_metrics",
-    "export_attention", "fit", "forward", "generate_synthetic",
-    "init_parameters", "length_breakdown", "line_of_sight", "load_checkpoint",
-    "normalize_expression", "parse_inkml", "parse_lg", "primitive_accuracy",
+    "confusion_histograms", "decode_labels", "expression_metrics", "fit",
+    "forward", "generate_synthetic", "init_parameters", "line_of_sight",
+    "load_checkpoint", "normalize_expression", "parse_inkml", "parse_lg",
     "resample_stroke", "save_checkpoint", "serialize_lg",
     "split_subexpressions", "total_loss",
 ]

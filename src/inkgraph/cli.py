@@ -19,9 +19,9 @@ from .graphs import (GraphConfig, GraphError, augment_global, build_local_graph,
 from .ink import InkError, parse_inkml, parse_lg
 from .labels import LabelError, Vocabulary, align_labels, decode_labels, serialize_lg
 from .metrics import (MetricsError, attention_to_csv, build_report,
-                      confusion_histograms, evaluate_expression, export_attention,
-                      predict_aligned, report_to_csv)
-from .model import ModelConfig, ModelError, forward
+                      confusion_histograms, evaluate_expression, predict_aligned,
+                      report_to_csv)
+from .model import ModelConfig, ModelError, forward, parameter_layout
 from .train import (TrainConfig, TrainError, fit, history_to_csv, parse_config_text)
 
 DATASET_NAME = "dataset.bin"
@@ -158,24 +158,45 @@ def _params_from_checkpoint(path):
     for key in ("vocabulary", "model_config", "graph_config"):
         if header.get(key) is None:
             raise EngineError(f"{path}: checkpoint missing {key}")
-    vocab = Vocabulary.from_dict(header["vocabulary"])
-    model_cfg = ModelConfig.from_dict(header["model_config"])
-    graph_cfg = GraphConfig.from_dict(header["graph_config"])
+    try:
+        vocab = Vocabulary.from_dict(header["vocabulary"])
+        model_cfg = ModelConfig.from_dict(header["model_config"])
+        graph_cfg = GraphConfig.from_dict(header["graph_config"])
+        layout = {name: shape for name, (shape, _fans) in
+                  parameter_layout(model_cfg, graph_cfg.edge_dim).items()}
+    except (LabelError, ModelError, GraphError, KeyError, TypeError, ValueError) as e:
+        raise EngineError(f"{path}: bad checkpoint config: {e}") from None
+    found = {name: arr.shape for name, arr in header["params"].items()}
+    for name in sorted(layout.keys() | found.keys()):
+        if found.get(name) != layout.get(name):
+            raise EngineError(
+                f"{path}: tensor {name!r} does not match model_config "
+                f"(file {found.get(name, 'absent')}, expected {layout.get(name, 'absent')})")
     params = {name: Tensor(arr, requires_grad=False)
               for name, arr in header["params"].items()}
     return params, vocab, model_cfg, graph_cfg
 
 
-def _full_graphs(pairs, vocab, graph_cfg):
-    """[(id, master-augmented graph, aligned labels, gold LabelGraph)] per expression."""
-    out = []
+def _graphs(pairs, graph_cfg, vocab=None):
+    """Build each expression's graph once: yields (expr, gold LabelGraph, local
+    graph, full graph, aligned labels). The full graph carries the master node
+    when the config asks for one; aligned is None without a vocabulary."""
     for expr, lg in pairs:
         graph = build_local_graph(expr, graph_cfg)
-        aligned = align_labels(lg, graph.adjacency, vocab)
-        if graph_cfg.global_graph:
-            graph = augment_global(graph)
-        out.append((expr.id, graph, aligned, lg))
-    return out
+        aligned = None if vocab is None else align_labels(lg, graph.adjacency, vocab)
+        full = augment_global(graph) if graph_cfg.global_graph else graph
+        yield expr, lg, graph, full, aligned
+
+
+def _predictions(args):
+    """Load an inference command's checkpoint and dataset. Returns the
+    vocabulary, the expression count, and a lazy iterator of (expr id,
+    ForwardResult, aligned labels, gold LabelGraph): one forward per graph."""
+    params, vocab, model_cfg, graph_cfg = _params_from_checkpoint(args.checkpoint)
+    pairs, _ = _resolve_dataset(args.data)
+    results = ((expr.id, forward(full, params, model_cfg, train=False), aligned, lg)
+               for expr, lg, _local, full, aligned in _graphs(pairs, graph_cfg, vocab))
+    return vocab, len(pairs), results
 
 
 def _outdir(args, *subdirs):
@@ -241,11 +262,8 @@ def _cmd_build_graph(args):
     graph_cfg = _graph_config(cfg, args)
     pairs, _ = _resolve_dataset(args.data)
     out = _outdir(args, "graphs")
-    for expr, _lg in pairs:
-        graph = build_local_graph(expr, graph_cfg)
-        if graph_cfg.global_graph:
-            graph = augment_global(graph)
-        (out / "graphs" / f"{expr.id}.json").write_text(graph_to_json(graph),
+    for expr, _lg, _local, full, _aligned in _graphs(pairs, graph_cfg):
+        (out / "graphs" / f"{expr.id}.json").write_text(graph_to_json(full),
                                                         encoding="utf-8")
     print(f"wrote {len(pairs)} graphs -> {out / 'graphs'}")
     return 0
@@ -258,25 +276,18 @@ def _cmd_train(args):
     model_cfg = _model_config(cfg, args, vocab)
     train_cfg = _train_config(cfg, args, graph_cfg)
 
-    locals_ = []
-    for expr, lg in pairs:
-        graph = build_local_graph(expr, graph_cfg)
-        aligned = align_labels(lg, graph.adjacency, vocab)
-        locals_.append((graph, aligned))
-
     if train_cfg.val_fraction > 0.0:
         import numpy as np
         rng = np.random.default_rng(train_cfg.seed)
-        perm = rng.permutation(len(locals_))
-        n_val = max(1, int(round(train_cfg.val_fraction * len(locals_))))
+        perm = rng.permutation(len(pairs))
+        n_val = max(1, int(round(train_cfg.val_fraction * len(pairs))))
         val_idx = set(int(i) for i in perm[:n_val])
     else:
         val_idx = set()
 
     train_items = []
     val_items = []
-    for k, (graph, aligned) in enumerate(locals_):
-        full = augment_global(graph) if graph_cfg.global_graph else graph
+    for k, (_expr, _lg, graph, full, aligned) in enumerate(_graphs(pairs, graph_cfg, vocab)):
         if k in val_idx:
             val_items.append((full, aligned))
         else:
@@ -303,12 +314,10 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    params, vocab, model_cfg, graph_cfg = _params_from_checkpoint(args.checkpoint)
-    pairs, _ = _resolve_dataset(args.data)
+    vocab, _, predictions = _predictions(args)
     rows = []
     dropped = 0
-    for expr_id, graph, aligned, lg in _full_graphs(pairs, vocab, graph_cfg):
-        res = forward(graph, params, model_cfg, train=False)
+    for expr_id, res, aligned, lg in predictions:
         rows.append(evaluate_expression(expr_id, res, aligned, lg, vocab))
         dropped += aligned.dropped
     report = build_report(rows, dropped_relations=dropped)
@@ -316,43 +325,36 @@ def _cmd_eval(args):
     (out / "metrics.csv").write_text(report_to_csv(report), encoding="utf-8")
     agg = report.aggregate_row()
     print("  ".join(f"{k} {v:.4f}" for k, v in agg.items()))
+    print(f"dropped_relations {report.dropped_relations}")
     print(f"metrics -> {out / 'metrics.csv'}")
     return 0
 
 
 def _cmd_infer(args):
-    params, vocab, model_cfg, graph_cfg = _params_from_checkpoint(args.checkpoint)
-    pairs, _ = _resolve_dataset(args.data)
+    vocab, count, predictions = _predictions(args)
     out = _outdir(args, "pred")
-    for expr_id, graph, aligned, _lg in _full_graphs(pairs, vocab, graph_cfg):
-        res = forward(graph, params, model_cfg, train=False)
+    for expr_id, res, aligned, _lg in predictions:
         pred = decode_labels(predict_aligned(res, aligned), vocab)
         (out / "pred" / f"{expr_id}.lg").write_text(serialize_lg(pred),
                                                     encoding="utf-8")
-    print(f"wrote {len(pairs)} label graphs -> {out / 'pred'}")
+    print(f"wrote {count} label graphs -> {out / 'pred'}")
     return 0
 
 
 def _cmd_attention(args):
-    params, vocab, model_cfg, graph_cfg = _params_from_checkpoint(args.checkpoint)
-    pairs, _ = _resolve_dataset(args.data)
+    _, count, predictions = _predictions(args)
     out = _outdir(args, "attention")
-    for expr_id, graph, _aligned, _lg in _full_graphs(pairs, vocab, graph_cfg):
-        matrix = export_attention(graph, params, model_cfg)
-        (out / "attention" / f"{expr_id}.csv").write_text(attention_to_csv(matrix),
+    for expr_id, res, _aligned, _lg in predictions:
+        (out / "attention" / f"{expr_id}.csv").write_text(attention_to_csv(res.attention[-1]),
                                                           encoding="utf-8")
-    print(f"wrote {len(pairs)} attention matrices -> {out / 'attention'}")
+    print(f"wrote {count} attention matrices -> {out / 'attention'}")
     return 0
 
 
 def _cmd_confusion(args):
-    params, vocab, model_cfg, graph_cfg = _params_from_checkpoint(args.checkpoint)
-    pairs, _ = _resolve_dataset(args.data)
-    graph_pairs = []
-    for _expr_id, graph, aligned, lg in _full_graphs(pairs, vocab, graph_cfg):
-        res = forward(graph, params, model_cfg, train=False)
-        pred = decode_labels(predict_aligned(res, aligned), vocab)
-        graph_pairs.append((pred, lg))
+    vocab, _, predictions = _predictions(args)
+    graph_pairs = [(decode_labels(predict_aligned(res, aligned), vocab), lg)
+                   for _id, res, aligned, lg in predictions]
     symbols, sym_pairs = confusion_histograms(graph_pairs)
     out = _outdir(args)
     doc = {"symbols": symbols, "pairs": sym_pairs}

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .ink import InkError, InkExpression, Stroke, parse_lg
-from .labels import LabelGraph, serialize_lg, Vocabulary
+from .labels import LabelError, Vocabulary, serialize_lg
 
 DATASET_MAGIC = b"INKDSET1"
 
@@ -65,7 +65,10 @@ def write_dataset(path, pairs, vocab):
 
 
 def read_dataset(path):
-    """Load a packed file -> (list of (InkExpression, LabelGraph), Vocabulary)."""
+    """Load a packed file -> (list of (InkExpression, LabelGraph), Vocabulary).
+
+    A truncated or corrupt file raises DatasetError naming the file.
+    """
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -73,26 +76,35 @@ def read_dataset(path):
         raise DatasetError(f"cannot read dataset {path}: {e}") from None
     if blob[:8] != DATASET_MAGIC:
         raise DatasetError(f"{path}: not a packed dataset (bad magic)")
+    if len(blob) < 16:
+        raise DatasetError(f"{path}: truncated dataset (no header length)")
     (hlen,) = struct.unpack_from("<Q", blob, 8)
-    try:
-        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DatasetError(f"{path}: corrupt header: {e}") from None
-    if header.get("format_version") != 1:
-        raise DatasetError(f"{path}: unsupported format version")
-    vocab = Vocabulary.from_dict(header["vocabulary"])
     base = 16 + hlen
+    if base > len(blob):
+        raise DatasetError(f"{path}: dataset header runs past the end of the file")
+    try:
+        header = json.loads(blob[16:base].decode("utf-8"))
+    except ValueError as e:  # also UnicodeDecodeError and JSONDecodeError
+        raise DatasetError(f"{path}: corrupt header: {e}") from None
+    if not isinstance(header, dict):
+        raise DatasetError(f"{path}: dataset header is not an object")
+    missing = sorted({"format_version", "vocabulary", "records"} - header.keys())
+    if missing:
+        raise DatasetError(f"{path}: dataset header lacks {', '.join(missing)}")
+    if header["format_version"] != 1:
+        raise DatasetError(f"{path}: unsupported format version")
     pairs = []
-    for rec in header["records"]:
-        start = base + rec["offset"]
-        ink_end = start + rec["ink_len"]
-        lg_end = ink_end + rec["lg_len"]
-        if lg_end > len(blob):
-            raise DatasetError(f"{path}: record {rec['id']!r} exceeds file size")
-        try:
+    try:
+        vocab = Vocabulary.from_dict(header["vocabulary"])
+        for rec in header["records"]:
+            start = base + rec["offset"]
+            ink_end = start + rec["ink_len"]
+            lg_end = ink_end + rec["lg_len"]
+            if not base <= start <= ink_end <= lg_end <= len(blob):
+                raise DatasetError(f"{path}: record {rec['id']!r} exceeds file size")
             expr = _ink_from_json(blob[start:ink_end].decode("utf-8"))
             lg = parse_lg(blob[ink_end:lg_end].decode("utf-8"))
-        except (InkError, UnicodeDecodeError, json.JSONDecodeError, ValueError) as e:
-            raise DatasetError(f"{path}: record {rec['id']!r}: {e}") from None
-        pairs.append((expr, lg))
+            pairs.append((expr, lg))
+    except (InkError, LabelError, KeyError, TypeError, ValueError) as e:
+        raise DatasetError(f"{path}: corrupt record: {type(e).__name__}: {e}") from None
     return pairs, vocab

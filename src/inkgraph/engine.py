@@ -8,6 +8,8 @@ Ops are plain functions so the gradient-check suite can enumerate them.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -658,21 +660,51 @@ def save_checkpoint(path, params, vocabulary=None, model_config=None,
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns the header dict plus 'params' (name -> ndarray)."""
+    """Inverse of save_checkpoint; returns the header dict plus 'params' (name -> ndarray).
+
+    A truncated or corrupt file raises EngineError naming the file.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise EngineError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(8)
+        if len(raw) != 8:
+            raise EngineError(f"{path}: truncated checkpoint (no header length)")
+        (hlen,) = struct.unpack("<Q", raw)
+        if hlen > size - fh.tell():
+            raise EngineError(f"{path}: checkpoint header runs past the end of the file")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as e:  # also UnicodeDecodeError and JSONDecodeError
+            raise EngineError(f"{path}: corrupt checkpoint header: {e}") from None
+        if not isinstance(header, dict):
+            raise EngineError(f"{path}: checkpoint header is not an object")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise EngineError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+        if not isinstance(header.get("tensors"), list):
+            raise EngineError(f"{path}: checkpoint header has no tensor list")
         params = {}
         for ent in header["tensors"]:
-            dt = np.dtype(ent["dtype"]).newbyteorder("<")
-            count = int(np.prod(ent["shape"])) if ent["shape"] else 1
-            buf = fh.read(count * dt.itemsize)
-            arr = np.frombuffer(buf, dtype=dt).reshape(ent["shape"])
-            params[ent["name"]] = arr.astype(np.dtype(ent["dtype"]), copy=True)
+            name, dt, shape = _tensor_entry(path, ent)
+            nbytes = math.prod(shape) * dt.itemsize
+            if nbytes > size - fh.tell():
+                raise EngineError(f"{path}: tensor {name!r} runs past the end of the file")
+            arr = np.frombuffer(fh.read(nbytes), dtype=dt.newbyteorder("<")).reshape(shape)
+            params[name] = arr.astype(dt, copy=True)
     header["params"] = params
     return header
+
+
+def _tensor_entry(path, ent):
+    """(name, dtype, shape) of one header tensor entry, validated."""
+    bad = f"{path}: bad tensor entry {ent!r}"
+    try:
+        name, dt, shape = ent["name"], np.dtype(str(ent["dtype"])), tuple(ent["shape"])
+    except (KeyError, TypeError, ValueError):
+        raise EngineError(bad) from None
+    if (not isinstance(name, str) or dt.kind not in "biuf"
+            or not all(isinstance(d, int) and d >= 0 for d in shape)):
+        raise EngineError(bad)
+    return name, dt, shape

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class GraphConfig:
         return 5 * self.d_e
 
     def to_dict(self):
-        return {"d_n": self.d_n, "d_e": self.d_e, "n_max": self.n_max,
-                "global_graph": self.global_graph, "full_connect": self.full_connect}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -135,25 +135,10 @@ class LabelGraph:
         return len(self.node_labels)
 
     def segments(self):
-        """Partition strokes into symbols: connected components of '*' edges."""
-        n = self.num_strokes
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for src, dst, rel in self.edges:
-            if rel == SAME_SYMBOL:
-                ri, rj = find(src), find(dst)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        return [sorted(g) for g in sorted(groups.values())]
+        """Partition strokes into symbols: connected components of '*' edges,
+        each sorted, ordered by first stroke."""
+        star = [(src, dst) for src, dst, rel in self.edges if rel == SAME_SYMBOL]
+        return list(_components(self.num_strokes, star).values())
 
     def segment_triples(self):
         """Segment-anchored relation triples: (frozenset src, frozenset dst, relation)."""
@@ -263,6 +248,27 @@ def align_labels(label_graph, adjacency, vocab):
                          dropped=dropped)
 
 
+def _components(n, pairs):
+    """Union-find over n items: {smallest member: sorted members} per connected
+    component of the undirected pairs, in order of smallest member."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return groups
+
+
 def decode_labels(aligned, vocab):
     """Inverse of align_labels up to segment-level equivalence.
 
@@ -272,24 +278,10 @@ def decode_labels(aligned, vocab):
     predictions are dropped, 'NoE' emits nothing.
     """
     n = aligned.num_nodes
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     star_id = vocab.same_symbol_id
-    for i, j in aligned.support_pairs():
-        if aligned.edge_ids[i, j] == star_id:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    comp_of = [find(i) for i in range(n)]
-    comps = {}
-    for i in range(n):
-        comps.setdefault(comp_of[i], []).append(i)
+    pairs = aligned.support_pairs()
+    comps = _components(n, [(i, j) for i, j in pairs if aligned.edge_ids[i, j] == star_id])
+    comp_of = {i: root for root, members in comps.items() for i in members}
 
     node_labels = [None] * n
     for members in comps.values():
@@ -300,19 +292,18 @@ def decode_labels(aligned, vocab):
         top = max(votes.values())
         tied = {lbl for lbl, c in votes.items() if c == top}
         chosen = next(vocab.symbol_label(int(aligned.node_ids[i]))
-                      for i in sorted(members)
+                      for i in members
                       if vocab.symbol_label(int(aligned.node_ids[i])) in tied)
         for i in members:
             node_labels[i] = chosen
 
     edges = set()
-    for members in comps.values():
-        ms = sorted(members)
+    for ms in comps.values():
         for a in range(len(ms)):
             for b in range(a + 1, len(ms)):
                 edges.add((ms[a], ms[b], SAME_SYMBOL))
     k = len(vocab.relations)
-    for i, j in aligned.support_pairs():
+    for i, j in pairs:
         cls = int(aligned.edge_ids[i, j])
         if cls in (star_id, vocab.no_edge_id):
             continue

@@ -1,4 +1,4 @@
-"""Evaluation: primitive and expression-level rates, confusion tables, attention.
+"""Evaluation: primitive and expression-level rates, confusion tables, attention CSV.
 
 Expression correctness follows the usual label-graph discipline: segmentation
 (stroke partition), symbol labels on matching segments, segment-anchored
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import AlignedLabels, decode_labels
-from .model import forward
 
 
 class MetricsError(Exception):
@@ -23,33 +22,34 @@ def predict_aligned(result, reference):
     """Argmax decode of a ForwardResult into AlignedLabels on the reference support."""
     node_ids = result.node_logits.data.argmax(axis=1).astype(np.int64)
     n = node_ids.shape[0]
+    rows, cols = _support_index(result.support)
     edge_ids = np.full((n, n), -1, dtype=np.int64)
-    if result.support:
-        epred = result.edge_logits.data.argmax(axis=1)
-        for k, (i, j) in enumerate(result.support):
-            edge_ids[i, j] = int(epred[k])
+    edge_ids[rows, cols] = result.edge_logits.data.argmax(axis=1)
     support = np.zeros((n, n), dtype=np.int8)
-    for i, j in result.support:
-        support[i, j] = 1
+    support[rows, cols] = 1
     if reference is not None and not np.array_equal(support, reference.order_adj):
         raise MetricsError("prediction support does not match the reference support")
     return AlignedLabels(node_ids=node_ids, edge_ids=edge_ids, order_adj=support)
 
 
-def primitive_accuracy(pred, gold):
-    """(node_acc, edge_acc) between two AlignedLabels on the same support."""
-    if not np.array_equal(pred.order_adj, gold.order_adj):
-        raise MetricsError("primitive_accuracy: supports differ")
-    if pred.num_nodes != gold.num_nodes:
-        raise MetricsError("primitive_accuracy: node counts differ")
-    node_acc = float((pred.node_ids == gold.node_ids).mean()) if pred.num_nodes else 0.0
-    pairs = gold.support_pairs()
-    if pairs:
-        hits = sum(int(pred.edge_ids[i, j] == gold.edge_ids[i, j]) for i, j in pairs)
-        edge_acc = hits / len(pairs)
-    else:
-        edge_acc = 0.0
-    return node_acc, edge_acc
+def primitive_counts(result, aligned, node_mask=None, edge_mask=None):
+    """(node_correct, node_total, edge_correct, edge_total) of the argmax
+    prediction in a ForwardResult against `aligned`, over the strokes and
+    support pairs whose mask is > 0 (all of them without masks)."""
+    node_sel = slice(None) if node_mask is None else node_mask > 0
+    node_hit = (result.node_logits.data.argmax(axis=1)[node_sel]
+                == aligned.node_ids[node_sel])
+    rows, cols = _support_index(result.support)
+    edge_sel = slice(None) if edge_mask is None else edge_mask[rows, cols] > 0
+    edge_hit = (result.edge_logits.data.argmax(axis=1)[edge_sel]
+                == aligned.edge_ids[rows, cols][edge_sel])
+    return (int(node_hit.sum()), int(node_hit.size),
+            int(edge_hit.sum()), int(edge_hit.size))
+
+
+def _support_index(support):
+    """(rows, cols) index arrays of a support pair list."""
+    return tuple(np.array(support, dtype=np.int64).reshape(-1, 2).T)
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +112,16 @@ def build_report(rows, dropped_relations=0):
 
 def evaluate_expression(expr_id, result, gold_aligned, gold_graph, vocab):
     """One per-expression metrics row from a forward pass and its ground truth."""
-    pred_aligned = predict_aligned(result, gold_aligned)
-    pairs = gold_aligned.support_pairs()
-    node_correct = int((pred_aligned.node_ids == gold_aligned.node_ids).sum())
-    edge_correct = sum(
-        int(pred_aligned.edge_ids[i, j] == gold_aligned.edge_ids[i, j]) for i, j in pairs)
-    pred_graph = decode_labels(pred_aligned, vocab)
+    pred_graph = decode_labels(predict_aligned(result, gold_aligned), vocab)
+    node_correct, node_total, edge_correct, edge_total = primitive_counts(result, gold_aligned)
     row = {
         "id": expr_id,
         "strokes": gold_aligned.num_nodes,
         "symbols": len(gold_graph.segments()),
         "node_correct": node_correct,
-        "node_total": gold_aligned.num_nodes,
+        "node_total": node_total,
         "edge_correct": edge_correct,
-        "edge_total": len(pairs),
+        "edge_total": edge_total,
     }
     row.update(expression_metrics(pred_graph, gold_graph))
     row["pred_graph"] = pred_graph
@@ -196,25 +192,8 @@ def confusion_histograms(expression_pairs):
     return symbol_table, pair_table
 
 
-def length_breakdown(rows, key="strokes"):
-    """Expression rate grouped by stroke (or symbol) count."""
-    if key not in ("strokes", "symbols"):
-        raise MetricsError(f"length_breakdown: key must be strokes or symbols, got {key!r}")
-    buckets = {}
-    for r in rows:
-        buckets.setdefault(r[key], []).append(bool(r["exp"]))
-    return {k: sum(v) / len(v) for k, v in sorted(buckets.items())}
-
-
 # ---------------------------------------------------------------------------
 # attention export
-
-
-def export_attention(graph, params, config):
-    """Final-layer attention as a dense array: rows are source nodes, columns
-    targets; zero where there is no edge; linked rows sum to 1."""
-    res = forward(graph, params, config, train=False)
-    return res.attention[-1]
 
 
 def attention_to_csv(matrix):

@@ -11,7 +11,7 @@ feature concatenated with the stage-0 embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,14 +51,7 @@ class ModelConfig:
             raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def to_dict(self):
-        return {
-            "hidden": self.hidden, "layers": self.layers,
-            "node_classes": self.node_classes, "edge_classes": self.edge_classes,
-            "readout_hidden": self.readout_hidden, "dropout": self.dropout,
-            "attn_leaky_relu": self.attn_leaky_relu, "leaky_slope": self.leaky_slope,
-            "message_concat": self.message_concat, "residual": self.residual,
-            "aux_readouts": self.aux_readouts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -70,17 +63,17 @@ def _glorot(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def init_parameters(config, edge_dim, seed=0, dtype=np.float32):
-    """Named parameter tensors; creation order is fixed so checkpoints and
-    optimizer traversal are deterministic."""
-    rng = np.random.default_rng(seed)
-    params = {}
+def parameter_layout(config, edge_dim):
+    """{name: (shape, fans)}: fans is a weight's Glorot (fan_in, fan_out), None
+    for a zero bias. The order is fixed so checkpoints and optimizer traversal
+    are deterministic."""
+    layout = {}
 
     def add_w(name, shape, fan_in, fan_out):
-        params[name] = Tensor(_glorot(rng, shape, fan_in, fan_out, dtype), requires_grad=True)
+        layout[name] = (shape, (fan_in, fan_out))
 
     def add_b(name, width):
-        params[name] = Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
+        layout[name] = ((width,), None)
 
     for bi in range(3):
         cin, cout = ENCODER_CHANNELS[bi], ENCODER_CHANNELS[bi + 1]
@@ -121,7 +114,16 @@ def init_parameters(config, edge_dim, seed=0, dtype=np.float32):
     if config.aux_readouts:
         for s in range(config.layers):
             add_readout(f"read.aux{s}")
-    return params
+    return layout
+
+
+def init_parameters(config, edge_dim, seed=0, dtype=np.float32):
+    """Named parameter tensors in parameter_layout order: Glorot-uniform
+    weights, zero biases."""
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(np.zeros(shape, dtype=dtype) if fans is None
+                         else _glorot(rng, shape, *fans, dtype), requires_grad=True)
+            for name, (shape, fans) in parameter_layout(config, edge_dim).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +155,6 @@ def node_embed(features, params):
 def _edge_mlp_rows(rows, params):
     h1 = eg.relu(eg.add(eg.matmul(rows, params["edge.l1.w"]), params["edge.l1.b"]))
     return eg.add(eg.matmul(h1, params["edge.l2.w"]), params["edge.l2.b"])
-
-
-def edge_embed(features, params):
-    """(n, n, F) edge features -> (n, n, hidden) through a shared per-slot MLP."""
-    x = features if isinstance(features, Tensor) else Tensor(features)
-    n = x.shape[0]
-    flat = eg.reshape(x, (n * n, x.shape[2]))
-    out = _edge_mlp_rows(flat, params)
-    return eg.reshape(out, (n, n, out.shape[1]))
 
 
 def _readout(prefix, params, x):

@@ -10,13 +10,15 @@ big block-diagonal graph.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import engine as eg
 from .engine import Adam, PlateauScheduler, Tape, Tensor, backward
-from .model import forward, init_parameters
+from .graphs import GraphConfig
+from .metrics import primitive_counts
+from .model import ModelConfig, forward, init_parameters
 
 
 class TrainError(Exception):
@@ -49,13 +51,7 @@ class TrainConfig:
             raise TrainError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
     def to_dict(self):
-        return {
-            "lr": self.lr, "batch_size": self.batch_size, "max_epochs": self.max_epochs,
-            "patience": self.patience, "decay_factor": self.decay_factor,
-            "node_weight": self.node_weight, "aux_weight": self.aux_weight,
-            "focal_gamma": self.focal_gamma, "dropout": self.dropout,
-            "n_max": self.n_max, "val_fraction": self.val_fraction, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -176,22 +172,6 @@ def graph_losses(results_and_targets, config):
                       node_weight=config.node_weight, aux_weight=config.aux_weight)
 
 
-def primitive_counts(result, aligned, node_mask, edge_mask):
-    """(correct, total) pairs for nodes and edges under the masks."""
-    node_pred = result.node_logits.data.argmax(axis=1)
-    nsel = node_mask > 0
-    node_correct = int((node_pred[nsel] == aligned.node_ids[nsel]).sum())
-    node_total = int(nsel.sum())
-    edge_correct = edge_total = 0
-    if result.support:
-        epred = result.edge_logits.data.argmax(axis=1)
-        for k, (i, j) in enumerate(result.support):
-            if edge_mask[i, j] > 0:
-                edge_total += 1
-                edge_correct += int(epred[k] == aligned.edge_ids[i, j])
-    return node_correct, node_total, edge_correct, edge_total
-
-
 # ---------------------------------------------------------------------------
 # fit
 
@@ -285,21 +265,15 @@ def history_to_csv(history):
 # config file
 
 
-_MODEL_KEYS = {
-    "hidden": int, "layers": int, "readout_hidden": int, "dropout": float,
-    "attn_leaky_relu": bool, "leaky_slope": float, "message_concat": bool,
-    "residual": bool, "aux_readouts": bool,
-}
-_TRAIN_KEYS = {
-    "lr": float, "batch_size": int, "max_epochs": int, "patience": int,
-    "decay_factor": float, "node_weight": float, "aux_weight": float,
-    "focal_gamma": float, "dropout": float, "n_max": int,
-    "val_fraction": float, "seed": int,
-}
-_DATA_KEYS = {
-    "d_n": int, "d_e": int, "n_max": int, "global_graph": bool,
-    "full_connect": bool, "count": int, "max_symbols": int,
-}
+def _key_types(config_cls, exclude=()):
+    """{field name: type of its default} for a config dataclass."""
+    return {f.name: type(f.default) for f in fields(config_cls) if f.name not in exclude}
+
+
+# class counts come from the vocabulary; count and max_symbols size synth's corpus
+_MODEL_KEYS = _key_types(ModelConfig, exclude=("node_classes", "edge_classes"))
+_TRAIN_KEYS = _key_types(TrainConfig)
+_DATA_KEYS = {**_key_types(GraphConfig), "count": int, "max_symbols": int}
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "on": True,
                 "false": False, "0": False, "no": False, "off": False}

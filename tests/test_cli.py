@@ -11,7 +11,7 @@ import pytest
 
 from inkgraph.cli import main
 from inkgraph.dataset import read_dataset
-from inkgraph.engine import load_checkpoint
+from inkgraph.engine import load_checkpoint, save_checkpoint
 from inkgraph.ink import parse_lg
 
 CONFIG = """
@@ -114,6 +114,33 @@ def test_data_errors_exit_2(workdir, capsys):
         assert code == 2, argv
         assert err.startswith("error:"), argv
 
+    # truncated containers and a checkpoint whose tensors miss its config:
+    # exit 2 with a message naming the file, never a traceback
+    data = _synth(workdir, capsys, count=2)
+    ckpt = _train(workdir, capsys, data) / "checkpoint.bin"
+    blob = ckpt.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    bad = {"cut.bin": (data / "dataset.bin").read_bytes()[:10],
+           "cut12.ckpt": blob[:12],
+           "cut_header.ckpt": blob[:16 + hlen // 2],
+           "cut_tensors.ckpt": blob[:-3]}
+    for name, content in bad.items():
+        (workdir / name).write_bytes(content)
+    header = load_checkpoint(ckpt)
+    save_checkpoint(workdir / "mismatched.ckpt", header["params"],
+                    vocabulary=header["vocabulary"],
+                    model_config={**header["model_config"], "layers": 2},
+                    graph_config=header["graph_config"])
+    cases = [("cut.bin", ["eval", "--data", str(workdir / "cut.bin"),
+                          "--checkpoint", str(ckpt)])]
+    cases += [(name, ["eval", "--data", str(data), "--checkpoint", str(workdir / name)])
+              for name in ("cut12.ckpt", "cut_header.ckpt", "cut_tensors.ckpt",
+                           "mismatched.ckpt")]
+    for name, argv in cases:
+        code, _, err = _run(argv + ["--out", outd], capsys)
+        assert code == 2, name
+        assert err.startswith("error:") and name in err, err
+
 
 def test_bad_config_value_exits_2(workdir, capsys):
     bad = workdir / "bad.cfg"
@@ -150,6 +177,9 @@ def test_synth_pipeline_end_to_end(workdir, capsys):
                          "--checkpoint", str(ckpt)], capsys)
     assert code == 0
     assert "exp_rate" in out
+    dropped = [line.split() for line in out.splitlines()
+               if line.startswith("dropped_relations")]
+    assert len(dropped) == 1 and int(dropped[0][1]) >= 0
     metrics = (workdir / "ev" / "metrics.csv").read_text(encoding="utf-8")
     assert metrics.splitlines()[0].startswith("id,strokes,symbols")
     assert len([l for l in metrics.splitlines() if l and not l.startswith(

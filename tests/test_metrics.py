@@ -10,9 +10,8 @@ from inkgraph.labels import (POSITIONAL_RELATIONS, AlignedLabels, LabelGraph,
                              Vocabulary, decode_labels)
 from inkgraph.metrics import (MetricsError, attention_to_csv, build_report,
                               confusion_histograms, evaluate_expression,
-                              export_attention, expression_metrics,
-                              length_breakdown, predict_aligned,
-                              primitive_accuracy, report_to_csv)
+                              expression_metrics, predict_aligned,
+                              primitive_counts, report_to_csv)
 from inkgraph.model import ForwardResult, ModelConfig, forward, init_parameters
 
 from oracles import brute_force_expression_metrics
@@ -56,12 +55,16 @@ def test_predict_aligned_argmax_and_support_check():
 def test_primitive_accuracy_counts():
     gold = _aligned([1, 2, 3, 4, 0], {(0, 1): 2, (1, 2): 5, (2, 4): 13})
     pred = _aligned([1, 2, 9, 4, 0], {(0, 1): 2, (1, 2): 6, (2, 4): 13})
-    node_acc, edge_acc = primitive_accuracy(pred, gold)
-    assert node_acc == pytest.approx(0.8)
-    assert edge_acc == pytest.approx(2 / 3)
-    assert primitive_accuracy(gold, gold) == (1.0, 1.0)
-    with pytest.raises(MetricsError, match="support"):
-        primitive_accuracy(_aligned([1, 2], {(0, 1): 2}), _aligned([1, 2], {}))
+    res = _result_for(pred, node_classes=10, edge_classes=14)
+    assert primitive_counts(res, gold) == (4, 5, 2, 3)
+    assert primitive_counts(_result_for(gold, 10, 14), gold) == (5, 5, 3, 3)
+    # masked strokes and support pairs leave both the hits and the totals
+    node_mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+    edge_mask = np.ones((5, 5))
+    edge_mask[1, 2] = 0.0
+    assert primitive_counts(res, gold, node_mask, edge_mask) == (4, 4, 2, 2)
+    empty = _aligned([1, 2], {})
+    assert primitive_counts(_result_for(empty, 10, 14), empty) == (2, 2, 0, 0)
 
 
 def test_expression_metrics_hand_cases():
@@ -221,16 +224,6 @@ def test_confusion_histograms_render_rules():
     assert sum(pair_table[key].values()) == 4
 
 
-def test_length_breakdown_groups_rates():
-    rows = [{"strokes": 2, "symbols": 1, "exp": True},
-            {"strokes": 2, "symbols": 2, "exp": False},
-            {"strokes": 5, "symbols": 2, "exp": True}]
-    assert length_breakdown(rows) == {2: 0.5, 5: 1.0}
-    assert length_breakdown(rows, key="symbols") == {1: 1.0, 2: 0.5}
-    with pytest.raises(MetricsError, match="key"):
-        length_breakdown(rows, key="width")
-
-
 def test_export_attention_matrix():
     rng = np.random.default_rng(8)
     n = 5
@@ -246,11 +239,10 @@ def test_export_attention_matrix():
                       readout_hidden=6, dropout=0.0)
     params = init_parameters(cfg, edge_dim=7, seed=0)
 
-    mat = export_attention(gm, params, cfg)
+    mat = forward(gm, params, cfg).attention[-1]
     assert mat.shape == (n + 1, n + 1)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-5)
     assert np.all(mat[gm.adjacency == 0] == 0.0)
-    assert np.array_equal(mat, forward(gm, params, cfg).attention[-1])
 
     text = attention_to_csv(np.array([[0.5, 0.5], [1.0, 0.0]]))
     assert text == "0.5,0.5\n1,0\n"

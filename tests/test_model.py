@@ -9,7 +9,7 @@ from inkgraph.engine import Tape, Tensor, backward
 from inkgraph.graphs import GraphConfig, ModeledGraph, augment_global, build_local_graph
 from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, ForwardResult,
                             ModelConfig, ModelError, edge_attention_layer,
-                            edge_embed, forward, init_parameters, node_embed)
+                            forward, init_parameters, node_embed)
 from inkgraph.synth import generate_synthetic
 
 from oracles import finite_diff_grad, naive_conv1d, rel_err
@@ -139,26 +139,25 @@ def test_node_embed_matches_numpy_reference():
     assert rel_err(got, ref) < 1e-12
 
 
-def test_edge_embed_shared_mlp_and_zero_slots():
+def test_edge_mlp_feeds_the_stage0_edge_readout():
     rng = np.random.default_rng(2)
     cfg = _small_config()
     params = init_parameters(cfg, edge_dim=7, seed=0, dtype=np.float64)
     _randomize(params, rng)
-    x = rng.standard_normal((3, 3, 7))
-    x[0, 1] = 0.0
-    x[2, 2] = 0.0
+    g = _rand_graph(rng, 5, edge_dim=7, master=True)
+    out = forward(g, params, cfg)
 
-    out = edge_embed(x, params).data
-    assert out.shape == (3, 3, cfg.hidden)
-    w1, b1 = params["edge.l1.w"].data, params["edge.l1.b"].data
-    w2, b2 = params["edge.l2.w"].data, params["edge.l2.b"].data
-    ref = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
-    assert rel_err(out, ref) < 1e-12
-    # every zero-feature slot maps to the one MLP image of zero
-    zero_img = np.maximum(b1, 0.0) @ w2 + b2
-    assert np.array_equal(out[0, 1], out[2, 2])
-    assert rel_err(out[0, 1], zero_img) < 1e-12
-    assert np.any(zero_img != 0.0)
+    def mlp(x, prefix):
+        w1, b1 = params[f"{prefix}.l1.w"].data, params[f"{prefix}.l1.b"].data
+        w2, b2 = params[f"{prefix}.l2.w"].data, params[f"{prefix}.l2.b"].data
+        return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+
+    # one shared MLP embeds every support slot; the stage-0 edge readout sees
+    # that embedding as both the stage state and the initial state
+    rows = np.array([g.edge_features[i + 1, j + 1] for i, j in out.support])
+    b0 = mlp(rows, "edge")
+    ref = mlp(np.concatenate([b0, b0], axis=1), "read.aux0.edge")
+    assert rel_err(out.aux[0][1].data, ref) < 1e-12
 
 
 # ---------------------------------------------------------------------------

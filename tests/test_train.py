@@ -379,12 +379,35 @@ count = 20
     assert isinstance(out["train"]["lr"], float)
     assert isinstance(out["data"]["d_n"], int)
 
+    # every key the README documents parses, coerced to its field's type
+    documented = {
+        "model": {"hidden": int, "layers": int, "readout_hidden": int, "dropout": float,
+                  "attn_leaky_relu": bool, "leaky_slope": float, "message_concat": bool,
+                  "residual": bool, "aux_readouts": bool},
+        "train": {"lr": float, "batch_size": int, "max_epochs": int, "patience": int,
+                  "decay_factor": float, "node_weight": float, "aux_weight": float,
+                  "focal_gamma": float, "dropout": float, "n_max": int,
+                  "val_fraction": float, "seed": int},
+        "data": {"d_n": int, "d_e": int, "n_max": int, "global_graph": bool,
+                 "full_connect": bool, "count": int, "max_symbols": int},
+    }
+    raw = {int: "3", float: "0.5", bool: "no"}
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {raw[t]}\n" for k, t in keys.items())
+                   for section, keys in documented.items())
+    out = parse_config_text(text)
+    for section, keys in documented.items():
+        assert {k: type(v) for k, v in out[section].items()} == keys, section
+
 
 def test_parse_config_rejects_unknowns_and_bad_values():
     with pytest.raises(TrainError, match=r"unknown section \[optimizer\]"):
         parse_config_text("[optimizer]\nlr = 1\n")
     with pytest.raises(TrainError, match="unknown key 'width'"):
         parse_config_text("[model]\nwidth = 4\n")
+    # class counts come from the vocabulary, never from the config
+    for key in ("node_classes", "edge_classes"):
+        with pytest.raises(TrainError, match=f"unknown key '{key}'"):
+            parse_config_text(f"[model]\n{key} = 5\n")
     with pytest.raises(TrainError, match="bad value 'abc'"):
         parse_config_text("[train]\nlr = abc\n")
     with pytest.raises(TrainError, match="bad value 'maybe'"):
