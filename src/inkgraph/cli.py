@@ -37,6 +37,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _int_at_least(low):
+    """argparse type: an int >= low, so a bad flag is a usage error."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser():
     p = _Parser(prog="inkgraph",
                 description="Stroke-graph modeling and recognition of "
@@ -71,14 +84,14 @@ def _build_parser():
 
     sp = sub.add_parser("synth", help="generate a synthetic dataset")
     common(sp, data=False, config=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=None)
-    sp.add_argument("--max-symbols", type=int, default=None)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--count", type=_int_at_least(1), default=None)
+    sp.add_argument("--max-symbols", type=_int_at_least(1), default=None)
 
     sp = sub.add_parser("train", help="fit a model")
     common(sp, config=True)
     graph_flags(sp)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_int_at_least(0), default=None)
     sp.add_argument("--no-aux", action="store_true", help="disable auxiliary readouts")
     sp.add_argument("--no-concat", action="store_true", help="disable message concatenation")
     sp.add_argument("--no-residual", action="store_true", help="disable residual connections")

@@ -152,83 +152,91 @@ def hull_centroid(hull):
     return _polygon_area_centroid(hull)
 
 
-def _segment_blocked_by_hull(p, q, hull, eps=1e-9):
-    """Does segment pq pass through hull's interior (or properly cross it when
-    the hull is a degenerate point/segment)?"""
+def _ray_crosses_segment(p, q, hull, eps=1e-9):
+    """Does ray pq properly cross the segment hull a-b, or overlap it collinearly
+    over a positive length?"""
     d = q - p
-    seg_len = float(np.hypot(*d))
-    if seg_len <= eps:
+    if float(np.hypot(*d)) <= eps:
         return False
-    if hull.shape[0] >= 3:
-        # clip the segment parameter interval against each hull edge half-plane
-        t0, t1 = 0.0, 1.0
-        m = hull.shape[0]
-        for k in range(m):
-            a = hull[k]
-            b = hull[(k + 1) % m]
-            # inside is to the left of a->b (hull is CCW)
-            nx, ny = b[1] - a[1], a[0] - b[0]  # outward normal
-            denom = nx * d[0] + ny * d[1]
-            num = nx * (a[0] - p[0]) + ny * (a[1] - p[1])
-            if abs(denom) < 1e-15:
-                if num < 0:
-                    return False  # parallel and fully outside this edge
-                continue
-            t = num / denom
-            if denom > 0:
-                t1 = min(t1, t)
-            else:
-                t0 = max(t0, t)
-            if t0 >= t1:
-                return False
-        return (t1 - t0) * seg_len > eps
-    if hull.shape[0] == 2:
-        a, b = hull
-        e = b - a
-        cross_pa = d[0] * (a[1] - p[1]) - d[1] * (a[0] - p[0])
-        cross_pb = d[0] * (b[1] - p[1]) - d[1] * (b[0] - p[0])
-        cross_ap = e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])
-        cross_aq = e[0] * (q[1] - a[1]) - e[1] * (q[0] - a[0])
-        if cross_pa * cross_pb < -eps and cross_ap * cross_aq < -eps:
-            return True  # proper transversal crossing
-        # collinear overlap of positive length
-        hull_len = float(np.hypot(*e))
-        if hull_len <= eps:
-            return False
-        if abs(cross_ap) <= eps * hull_len and abs(cross_aq) <= eps * hull_len:
-            ta = np.dot(p - a, e) / (hull_len * hull_len)
-            tb = np.dot(q - a, e) / (hull_len * hull_len)
-            lo, hi = min(ta, tb), max(ta, tb)
-            return min(hi, 1.0) - max(lo, 0.0) > eps
+    a, b = hull
+    e = b - a
+    cross_pa = d[0] * (a[1] - p[1]) - d[1] * (a[0] - p[0])
+    cross_pb = d[0] * (b[1] - p[1]) - d[1] * (b[0] - p[0])
+    cross_ap = e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])
+    cross_aq = e[0] * (q[1] - a[1]) - e[1] * (q[0] - a[0])
+    if cross_pa * cross_pb < -eps and cross_ap * cross_aq < -eps:
+        return True  # proper transversal crossing
+    # collinear overlap of positive length
+    hull_len = float(np.hypot(*e))
+    if hull_len <= eps:
         return False
-    return False  # a point blocks nothing
+    if abs(cross_ap) <= eps * hull_len and abs(cross_aq) <= eps * hull_len:
+        ta = np.dot(p - a, e) / (hull_len * hull_len)
+        tb = np.dot(q - a, e) / (hull_len * hull_len)
+        lo, hi = min(ta, tb), max(ta, tb)
+        return min(hi, 1.0) - max(lo, 0.0) > eps
+    return False
 
 
 def line_of_sight(strokes):
     """Visibility adjacency: i sees j when some ray from hull(i)'s centroid to a
-    vertex of hull(j) clears every other stroke's hull. Symmetrized by OR."""
+    vertex of hull(j) clears every other stroke's hull. Symmetrized by OR.
+
+    Per source stroke, one Cyrus-Beck pass clips all its rays against the edges
+    of every polygon hull at once. A ray is blocked when its parameter interval
+    [t0, t1], clipped against the hull's edge half-planes, keeps a length above
+    1e-9. Segment hulls (exactly collinear strokes) block by crossing; point
+    hulls block nothing.
+    """
     n = len(strokes)
+    vis = np.zeros((n, n), dtype=np.int8)
+    if n < 2:
+        return vis
     hulls = [convex_hull(s.coords.T) for s in strokes]
     centers = [hull_centroid(h) for h in hulls]
-    vis = np.zeros((n, n), dtype=np.int8)
+    vertices = np.concatenate(hulls)
+    vertex_owner = np.repeat(np.arange(n), [h.shape[0] for h in hulls])
+    polygons = np.array([k for k in range(n) if hulls[k].shape[0] >= 3], dtype=np.int64)
+    segments = [k for k in range(n) if hulls[k].shape[0] == 2]
+    if polygons.size:
+        # every polygon edge a->b in one flat array; inside is left of a->b
+        a = np.concatenate([hulls[k] for k in polygons])
+        b = np.concatenate([np.roll(hulls[k], -1, axis=0) for k in polygons])
+        nx, ny = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]  # outward normals
+        starts = np.cumsum([0] + [hulls[k].shape[0] for k in polygons[:-1]])
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if vis[j, i]:
-                vis[i, j] = 1
-                continue
-            occluders = [hulls[k] for k in range(n) if k != i and k != j]
-            seen = False
-            for vtx in hulls[j]:
-                if not any(_segment_blocked_by_hull(centers[i], vtx, h) for h in occluders):
-                    seen = True
-                    break
-            if seen:
-                vis[i, j] = 1
-    out = np.maximum(vis, vis.T)
-    np.fill_diagonal(out, 0)
-    return out
+        # rays to every vertex of every target not yet known to see i
+        rows = (vertex_owner != i) & (vis[i, vertex_owner] == 0)
+        if not rows.any():
+            continue
+        p, q, owner = centers[i], vertices[rows], vertex_owner[rows]
+        d = q - p
+        blocked = np.zeros(q.shape[0], dtype=bool)
+        if polygons.size:
+            denom = nx * d[:, :1] + ny * d[:, 1:]  # (rays, edges)
+            num = nx * (a[:, 0] - p[0]) + ny * (a[:, 1] - p[1])
+            parallel = np.abs(denom) < 1e-15
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = num / denom
+            # clip [0, 1] against every edge: entering edges raise t0, leaving
+            # edges lower t1; min and max are exact, so edge order is moot
+            t1 = np.minimum(np.minimum.reduceat(
+                np.where(denom >= 1e-15, t, 1.0), starts, axis=1), 1.0)
+            t0 = np.maximum(np.maximum.reduceat(
+                np.where(denom <= -1e-15, t, 0.0), starts, axis=1), 0.0)
+            outside = np.logical_or.reduceat(parallel & (num < 0), starts, axis=1)
+            seg_len = np.hypot(d[:, 0], d[:, 1])
+            hit = ~outside & ((t1 - t0) * seg_len[:, None] > 1e-9)
+            hit &= (polygons != i) & (polygons != owner[:, None])
+            blocked = hit.any(axis=1)
+        for k in segments:
+            if k != i:
+                for r in np.nonzero(~blocked & (owner != k))[0]:
+                    blocked[r] = _ray_crosses_segment(p, q[r], hulls[k])
+        seen = np.unique(owner[~blocked])
+        vis[i, seen] = 1
+        vis[seen, i] = 1
+    return vis
 
 
 def add_temporal_edges(adjacency):

@@ -10,6 +10,7 @@ big block-diagonal graph.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -275,13 +276,16 @@ _MODEL_KEYS = _key_types(ModelConfig, exclude=("node_classes", "edge_classes"))
 _TRAIN_KEYS = _key_types(TrainConfig)
 _DATA_KEYS = {**_key_types(GraphConfig), "count": int, "max_symbols": int}
 
+# integer keys whose values below these minimums fail only deep inside a run
+_MINIMUMS = {("data", "count"): 1, ("data", "max_symbols"): 1, ("train", "seed"): 0}
+
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "on": True,
                 "false": False, "0": False, "no": False, "off": False}
 
 
 def parse_config_text(text):
     """Parse the [model]/[train]/[data] key=value format. Unknown sections or
-    keys are errors; values are coerced per key."""
+    keys are errors; values are coerced per key, floats must be finite."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -299,9 +303,17 @@ def parse_config_text(text):
             caster = table[key]
             try:
                 if caster is bool:
-                    out[section][key] = _BOOL_VALUES[raw.strip().lower()]
+                    value = _BOOL_VALUES[raw.strip().lower()]
                 else:
-                    out[section][key] = caster(raw)
+                    value = caster(raw)
             except (ValueError, KeyError):
                 raise TrainError(f"config: bad value {raw!r} for {section}.{key}") from None
+            if caster is float and not math.isfinite(value):
+                raise TrainError(f"config: bad value {raw!r} for {section}.{key} "
+                                 "(must be finite)")
+            low = _MINIMUMS.get((section, key))
+            if low is not None and value < low:
+                raise TrainError(f"config: bad value {raw!r} for {section}.{key} "
+                                 f"(must be >= {low})")
+            out[section][key] = value
     return out

@@ -279,6 +279,91 @@ def brute_force_visibility(stroke_coords, rays_per_pair=10000):
     return out
 
 
+def _scalar_segment_blocked(p, q, hull, eps=1e-9):
+    """Does segment pq pass through hull's interior (or properly cross it when
+    the hull is a degenerate point/segment)? One edge at a time."""
+    d = q - p
+    seg_len = float(np.hypot(*d))
+    if seg_len <= eps:
+        return False
+    if hull.shape[0] >= 3:
+        # clip the segment parameter interval against each hull edge half-plane
+        t0, t1 = 0.0, 1.0
+        m = hull.shape[0]
+        for k in range(m):
+            a = hull[k]
+            b = hull[(k + 1) % m]
+            # inside is to the left of a->b (hull is CCW)
+            nx, ny = b[1] - a[1], a[0] - b[0]  # outward normal
+            denom = nx * d[0] + ny * d[1]
+            num = nx * (a[0] - p[0]) + ny * (a[1] - p[1])
+            if abs(denom) < 1e-15:
+                if num < 0:
+                    return False  # parallel and fully outside this edge
+                continue
+            t = num / denom
+            if denom > 0:
+                t1 = min(t1, t)
+            else:
+                t0 = max(t0, t)
+            if t0 >= t1:
+                return False
+        return (t1 - t0) * seg_len > eps
+    if hull.shape[0] == 2:
+        a, b = hull
+        e = b - a
+        cross_pa = d[0] * (a[1] - p[1]) - d[1] * (a[0] - p[0])
+        cross_pb = d[0] * (b[1] - p[1]) - d[1] * (b[0] - p[0])
+        cross_ap = e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])
+        cross_aq = e[0] * (q[1] - a[1]) - e[1] * (q[0] - a[0])
+        if cross_pa * cross_pb < -eps and cross_ap * cross_aq < -eps:
+            return True  # proper transversal crossing
+        # collinear overlap of positive length
+        hull_len = float(np.hypot(*e))
+        if hull_len <= eps:
+            return False
+        if abs(cross_ap) <= eps * hull_len and abs(cross_aq) <= eps * hull_len:
+            ta = np.dot(p - a, e) / (hull_len * hull_len)
+            tb = np.dot(q - a, e) / (hull_len * hull_len)
+            lo, hi = min(ta, tb), max(ta, tb)
+            return min(hi, 1.0) - max(lo, 0.0) > eps
+        return False
+    return False  # a point blocks nothing
+
+
+def scalar_line_of_sight(strokes):
+    """Exact oracle for graphs.line_of_sight: the same predicate, one
+    (source, target, vertex, occluder, hull edge) at a time.
+
+    It shares the library's convex hulls and centroids, so any difference from
+    the vectorized pass lies in the clipping itself and must be exactly zero.
+    """
+    from inkgraph.graphs import convex_hull, hull_centroid
+
+    n = len(strokes)
+    hulls = [convex_hull(s.coords.T) for s in strokes]
+    centers = [hull_centroid(h) for h in hulls]
+    vis = np.zeros((n, n), dtype=np.int8)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if vis[j, i]:
+                vis[i, j] = 1
+                continue
+            occluders = [hulls[k] for k in range(n) if k != i and k != j]
+            seen = False
+            for vtx in hulls[j]:
+                if not any(_scalar_segment_blocked(centers[i], vtx, h) for h in occluders):
+                    seen = True
+                    break
+            if seen:
+                vis[i, j] = 1
+    out = np.maximum(vis, vis.T)
+    np.fill_diagonal(out, 0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # expression-level metric oracle
 

@@ -98,6 +98,17 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1, argv
         assert "usage:" in err
 
+    # out-of-range flags are usage errors, caught before any work starts
+    cases = [(["synth", "--count", "0"], "argument --count: must be >= 1, got 0"),
+             (["synth", "--count", "-3"], "argument --count: must be >= 1, got -3"),
+             (["synth", "--max-symbols", "0"], "argument --max-symbols: must be >= 1"),
+             (["synth", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+             (["train", "--data", "x", "--seed", "-1"], "argument --seed: must be >= 0")]
+    for argv, message in cases:
+        code, _, err = _run(argv + ["--out", "y"], capsys)
+        assert code == 1, argv
+        assert message in err and "usage:" in err and "Traceback" not in err, err
+
 
 def test_data_errors_exit_2(workdir, capsys):
     missing = str(workdir / "nothing")
@@ -140,6 +151,26 @@ def test_data_errors_exit_2(workdir, capsys):
         code, _, err = _run(argv + ["--out", outd], capsys)
         assert code == 2, name
         assert err.startswith("error:") and name in err, err
+
+    # values that would otherwise fail mid-run (a traceback, or a non-finite
+    # conv1d output in training) are rejected when the config is parsed
+    configs = [("synth", "[data]\ncount = 0\n", "data.count"),
+               ("synth", "[data]\nmax_symbols = 0\n", "data.max_symbols"),
+               ("train", "[train]\nseed = -4\n", "train.seed"),
+               ("train", "[train]\nlr = inf\n", "train.lr"),
+               ("train", "[train]\nfocal_gamma = nan\n", "train.focal_gamma"),
+               ("train", "[train]\naux_weight = nan\n", "train.aux_weight"),
+               ("train", "[train]\ndecay_factor = nan\n", "train.decay_factor")]
+    for command, text, key in configs:
+        cfg = workdir / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        argv = [command, "--out", outd, "--config", str(cfg)]
+        if command == "train":
+            argv += ["--data", str(data)]
+        code, _, err = _run(argv, capsys)
+        assert code == 2, text
+        assert err.startswith("error: config: bad value") and key in err, err
+        assert "Traceback" not in err
 
 
 def test_bad_config_value_exits_2(workdir, capsys):

@@ -10,12 +10,12 @@ from inkgraph.graphs import (GraphConfig, GraphError, ModeledGraph,
                              directional_features, graph_from_json,
                              graph_to_json, hull_centroid, line_of_sight,
                              preprocess_expression, split_subexpressions)
-from inkgraph.ink import InkExpression, Stroke, resample_stroke
+from inkgraph.ink import InkExpression, ResampledStroke, Stroke, resample_stroke
 from inkgraph.labels import (SAME_SYMBOL, AlignedLabels, LabelGraph,
                              Vocabulary, align_labels)
-from inkgraph.synth import compose
+from inkgraph.synth import compose, generate_synthetic
 
-from oracles import brute_force_visibility
+from oracles import brute_force_visibility, scalar_line_of_sight
 
 
 def test_graph_config_defaults_and_validation():
@@ -118,6 +118,68 @@ def test_line_of_sight_agrees_with_sampled_ray_oracle():
         agree += int(np.sum(vis[iu] == want[iu]))
         total += len(iu[0])
     assert agree / total >= 0.95, f"visibility agreement {agree}/{total}"
+
+
+def _hand_built_scenes():
+    """Small scenes that reach every branch of the clipping test."""
+    def bar(x0, x1, y):
+        return _rs([[x0, y], [x1, y]])
+
+    def raw(pts):  # vertices as given: resampling would round the corners
+        return ResampledStroke(coords=np.array(pts).T)
+
+    wedge = raw([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    tri = [[0.0, 0.0], [1.0, 0.2], [0.4, 1.0]]
+    dot = _rs([[2.5, 0.5], [2.5, 0.5]])
+    return {
+        # a point hull on the ray blocks nothing
+        "dot": ([bar(0.0, 1.0, 0.5), dot, bar(4.0, 5.0, 0.5)], {(0, 2): 1}),
+        # an exactly straight stroke is a segment hull; it blocks by crossing
+        "segment": ([bar(0.0, 1.0, y) for y in (0.0, 1.0, 2.0)], {(0, 2): 0}),
+        # the ray from the left bar runs along the middle bar
+        "collinear-overlap": ([bar(0.0, 1.0, 0.0), bar(2.0, 3.0, 0.0),
+                               bar(4.0, 5.0, 0.0)], {(0, 2): 0}),
+        # horizontal rays parallel to the triangle's bottom edge: one passes
+        # through it; one runs below it, inside the wedge of the other two edges
+        "parallel-edge": ([wedge, bar(-3.0, -2.0, 0.5), bar(3.0, 4.0, 0.5),
+                           bar(-3.0, -2.0, -0.5), bar(3.0, 4.0, -0.5)],
+                          {(1, 2): 0, (3, 4): 1}),
+        # each dot's ray to the other stops one unit short of a triangle's tip
+        "ray-ends-short": ([raw([[0.0, 0.0], [0.0, 0.0]]), raw([[2.0, 0.0], [2.0, 0.0]]),
+                            raw([[-3.0, -1.0], [-1.0, 0.0], [-3.0, 1.0]]),
+                            raw([[5.0, -1.0], [3.0, 0.0], [5.0, 1.0]])], {(0, 1): 1}),
+        "identical": ([_rs(tri), _rs(tri), _rs(np.array(tri) + [3.0, 0.0])], {(0, 1): 1}),
+        "n=1": ([_rs(tri)], {}),
+        "n=2": ([_rs(tri), bar(3.0, 4.0, 0.0)], {(0, 1): 1}),
+    }
+
+
+def test_line_of_sight_matches_scalar_oracle_exactly():
+    hand = _hand_built_scenes()
+    hulls = {name: [convex_hull(s.coords.T) for s in strokes]
+             for name, (strokes, _) in hand.items()}
+    assert hulls["dot"][1].shape[0] == 1
+    assert [h.shape[0] for h in hulls["segment"]] == [2, 2, 2]
+    assert hulls["parallel-edge"][0].shape[0] == 3
+    for name, (strokes, want) in hand.items():
+        vis = line_of_sight(strokes)
+        assert np.array_equal(vis, scalar_line_of_sight(strokes)), name
+        for (i, j), v in want.items():
+            assert vis[i, j] == vis[j, i] == v, (name, i, j)
+
+    # the acceptance gate's 200 scenes
+    gcfg = GraphConfig(d_n=24, d_e=3)
+    pool = generate_synthetic(seed=2, count=640, max_symbols=4)
+    scenes = [preprocess_expression(expr, gcfg) for expr, _ in pool
+              if 3 <= expr.num_strokes <= 6][:200]
+    # long expressions at the paper's d_n, where hulls reach ~90 vertices
+    gcfg = GraphConfig(d_n=150)
+    pool = generate_synthetic(0, 1500, 16)
+    long = [preprocess_expression(expr, gcfg) for expr, _ in pool
+            if 15 <= expr.num_strokes <= 22]
+    assert len(scenes) == 200 and len(long) > 50
+    for k, strokes in enumerate(scenes + long):
+        assert np.array_equal(line_of_sight(strokes), scalar_line_of_sight(strokes)), k
 
 
 def test_add_temporal_edges_links_consecutive_strokes_idempotently():

@@ -1,6 +1,8 @@
 """Training tests: loss fixtures against closed forms, exact masking, batch
 concatenation semantics, the fit loop, and config-file parsing."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -414,3 +416,18 @@ def test_parse_config_rejects_unknowns_and_bad_values():
         parse_config_text("[model]\nresidual = maybe\n")
     with pytest.raises(TrainError, match="config:"):
         parse_config_text("lr = 1\n")
+    # non-finite floats and out-of-range counts and seeds fail at parse time
+    floats = [(section, f.name) for section, cls in (("model", ModelConfig),
+                                                     ("train", TrainConfig))
+              for f in fields(cls) if isinstance(f.default, float)]
+    assert len(floats) >= 8
+    for section, key in floats:
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(TrainError, match=rf"bad value '{raw}' for {section}\.{key} "
+                                                 r"\(must be finite\)"):
+                parse_config_text(f"[{section}]\n{key} = {raw}\n")
+    for section, key, raw in (("data", "count", "0"), ("data", "max_symbols", "-1"),
+                              ("train", "seed", "-4")):
+        with pytest.raises(TrainError, match=rf"bad value '{raw}' for {section}\.{key}"):
+            parse_config_text(f"[{section}]\n{key} = {raw}\n")
+    assert parse_config_text("[train]\nseed = 0\n")["train"] == {"seed": 0}
