@@ -4,7 +4,7 @@ mathematical expression recognition.
 Pipeline: parse or synthesize ink, normalize and resample strokes, build a
 visibility + writing-order graph with fuzzy directional edge features, then
 jointly classify symbols (nodes) and spatial relations (edges) with an
-edge-weighted graph attention network trained on padded sub-expression
+edge-weighted graph attention network trained on unpadded sub-expression
 chunks. Everything runs on numpy with a small reverse-mode autodiff tape.
 """
 

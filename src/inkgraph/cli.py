@@ -29,12 +29,15 @@ CHECKPOINT_NAME = "checkpoint.bin"
 
 
 class UsageError(Exception):
-    pass
+    def __init__(self, message, usage):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        # a subcommand's parser raises this itself, so its own usage line goes along
+        raise UsageError(f"{self.prog}: {message}", self.format_usage())
 
 
 def _int_at_least(low):
@@ -395,7 +398,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except UsageError as e:
         print(str(e), file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
+        print(e.usage, end="", file=sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args)

@@ -338,58 +338,39 @@ def augment_global(graph):
 
 
 def split_subexpressions(graph, aligned, config):
-    """Cut a local graph into consecutive chunks of n_max strokes, zero-padded.
+    """Cut a local graph into consecutive chunks of at most n_max strokes.
 
-    Padding gets mask 0 everywhere. A stroke whose same-symbol partner falls
-    outside its chunk keeps its features but is dropped from the loss (node and
-    incident edges). Master augmentation happens per chunk afterwards when the
-    config asks for a global graph. Returns list of (graph, aligned) chunks.
+    A chunk is strokes [lo, hi), not padded: its arrays are views of the
+    graph's and the labels' arrays, and only its masks are copies. A stroke
+    whose same-symbol partner falls outside its chunk keeps its features but
+    is dropped from the loss (node and incident edges). With a global config
+    each chunk gets a master node linked to its own strokes only. Returns
+    list of (graph, aligned) chunks.
     """
     if graph.has_master:
         raise GraphError("split before augmenting, not after")
     from .labels import AlignedLabels  # local import to avoid a cycle at module load
 
     n = graph.num_nodes
-    n_max = config.n_max
     chunks = []
-    for lo in range(0, n, n_max):
-        hi = min(lo + n_max, n)
-        size = hi - lo
+    for lo in range(0, n, config.n_max):
+        hi = min(lo + config.n_max, n)
         sl = slice(lo, hi)
-
-        adj = np.zeros((n_max, n_max), dtype=np.int8)
-        adj[:size, :size] = graph.adjacency[sl, sl]
-        node_features = np.zeros((n_max,) + graph.node_features.shape[1:], dtype=np.float32)
-        node_features[:size] = graph.node_features[sl]
-        edge_features = np.zeros((n_max, n_max) + graph.edge_features.shape[2:], dtype=np.float32)
-        edge_features[:size, :size] = graph.edge_features[sl, sl]
-
-        node_mask = np.zeros(n_max, dtype=np.float32)
-        node_mask[:size] = graph.node_mask[sl]
-        broken = _strokes_with_partner_outside(aligned, lo, hi)
-        for b in broken:
-            node_mask[b - lo] = 0.0
-        edge_mask = np.zeros((n_max, n_max), dtype=np.float32)
-        edge_mask[:size, :size] = graph.edge_mask[sl, sl]
-        for b in broken:
-            edge_mask[b - lo, :] = 0.0
-            edge_mask[:, b - lo] = 0.0
-
-        node_ids = np.zeros(n_max, dtype=np.int64)
-        node_ids[:size] = aligned.node_ids[sl]
-        support = np.zeros((n_max, n_max), dtype=np.int8)
-        support[:size, :size] = aligned.order_adj[sl, sl]
-        edge_ids = np.full((n_max, n_max), -1, dtype=np.int64)
-        edge_ids[:size, :size] = np.where(aligned.order_adj[sl, sl] == 1,
-                                          aligned.edge_ids[sl, sl], -1)
-
-        chunk_graph = ModeledGraph(adjacency=adj, node_features=node_features,
-                                   edge_features=edge_features, node_mask=node_mask,
-                                   edge_mask=edge_mask, has_master=False)
+        broken = [b - lo for b in _strokes_with_partner_outside(aligned, lo, hi)]
+        node_mask = graph.node_mask[sl].copy()
+        node_mask[broken] = 0.0
+        edge_mask = graph.edge_mask[sl, sl].copy()
+        edge_mask[broken, :] = 0.0
+        edge_mask[:, broken] = 0.0
+        chunk_graph = ModeledGraph(adjacency=graph.adjacency[sl, sl],
+                                   node_features=graph.node_features[sl],
+                                   edge_features=graph.edge_features[sl, sl],
+                                   node_mask=node_mask, edge_mask=edge_mask)
         if config.global_graph:
             chunk_graph = augment_global(chunk_graph)
-        chunk_labels = AlignedLabels(node_ids=node_ids, edge_ids=edge_ids,
-                                     order_adj=support, dropped=0)
+        chunk_labels = AlignedLabels(node_ids=aligned.node_ids[sl],
+                                     edge_ids=aligned.edge_ids[sl, sl],
+                                     order_adj=aligned.order_adj[sl, sl])
         chunks.append((chunk_graph, chunk_labels))
     return chunks
 

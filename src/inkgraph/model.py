@@ -257,7 +257,6 @@ def forward(graph, params, config, train=False, rng=None):
     adj = graph.adjacency
     n = graph.num_nodes
     offset = 1 if graph.has_master else 0
-    n_local = graph.num_strokes
     hidden = config.hidden
 
     h0 = node_embed(np.asarray(graph.node_features, dtype=params["enc.out.w"].dtype),

@@ -18,7 +18,7 @@ import numpy as np
 from . import engine as eg
 from .engine import Adam, PlateauScheduler, Tape, Tensor, backward
 from .graphs import GraphConfig
-from .metrics import primitive_counts
+from .metrics import _support_index, primitive_counts
 from .model import ModelConfig, forward, init_parameters
 
 
@@ -50,6 +50,10 @@ class TrainConfig:
             raise TrainError("aux_weight and focal_gamma must be >= 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise TrainError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if not 0.0 < self.decay_factor <= 1.0:
+            raise TrainError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
+        if self.patience < 1:
+            raise TrainError(f"patience must be >= 1, got {self.patience}")
 
     def to_dict(self):
         return asdict(self)
@@ -125,9 +129,8 @@ def _local_masks(graph):
 
 
 def _edge_targets(aligned, support, edge_mask):
-    labels = np.array([aligned.edge_ids[i, j] for i, j in support], dtype=np.int64)
-    mask = np.array([edge_mask[i, j] for i, j in support], dtype=np.float64)
-    return labels, mask
+    rows, cols = _support_index(support)
+    return aligned.edge_ids[rows, cols], edge_mask[rows, cols].astype(np.float64)
 
 
 def graph_losses(results_and_targets, config):

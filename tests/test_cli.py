@@ -98,7 +98,8 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1, argv
         assert "usage:" in err
 
-    # out-of-range flags are usage errors, caught before any work starts
+    # out-of-range flags are usage errors, caught before any work starts; the
+    # usage line is the subcommand's own
     cases = [(["synth", "--count", "0"], "argument --count: must be >= 1, got 0"),
              (["synth", "--count", "-3"], "argument --count: must be >= 1, got -3"),
              (["synth", "--max-symbols", "0"], "argument --max-symbols: must be >= 1"),
@@ -107,7 +108,12 @@ def test_usage_errors_exit_1(capsys):
     for argv, message in cases:
         code, _, err = _run(argv + ["--out", "y"], capsys)
         assert code == 1, argv
-        assert message in err and "usage:" in err and "Traceback" not in err, err
+        assert message in err and "Traceback" not in err, err
+        assert f"usage: inkgraph {argv[0]} [-h]" in err, err
+    _, _, err = _run(["train", "--data", "x"], capsys)
+    assert "usage: inkgraph train [-h]" in err, err
+    _, _, err = _run(["bogus"], capsys)
+    assert "usage: inkgraph [-h] COMMAND" in err, err
 
 
 def test_data_errors_exit_2(workdir, capsys):
@@ -171,6 +177,16 @@ def test_data_errors_exit_2(workdir, capsys):
         assert code == 2, text
         assert err.startswith("error: config: bad value") and key in err, err
         assert "Traceback" not in err
+
+    # plateau knobs outside their range name the key
+    for text, key in (("[train]\ndecay_factor = 5\n", "decay_factor"),
+                      ("[train]\npatience = -1\n", "patience")):
+        cfg = workdir / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code, _, err = _run(["train", "--data", str(data), "--out", outd,
+                             "--config", str(cfg)], capsys)
+        assert code == 2, text
+        assert err.startswith(f"error: {key} must be") and "Traceback" not in err, err
 
 
 def test_bad_config_value_exits_2(workdir, capsys):

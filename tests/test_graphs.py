@@ -307,7 +307,7 @@ def _aligned_for(expr, g, vocab, star_pairs=(), rels=()):
     return align_labels(lg, g.adjacency, vocab)
 
 
-def test_split_pads_one_short_chunk():
+def test_split_short_expression_is_one_unpadded_chunk():
     rng = np.random.default_rng(7)
     cfg = GraphConfig(d_n=16, d_e=3, n_max=8, global_graph=False)
     expr = _expr(rng, 5)
@@ -316,15 +316,16 @@ def test_split_pads_one_short_chunk():
     chunks = split_subexpressions(g, al, cfg)
     assert len(chunks) == 1
     cg, cl = chunks[0]
-    assert cg.num_nodes == 8 and not cg.has_master
-    assert np.array_equal(cg.adjacency[:5, :5], g.adjacency)
-    assert np.all(cg.adjacency[5:] == 0) and np.all(cg.adjacency[:, 5:] == 0)
-    assert np.array_equal(cg.node_features[:5], g.node_features)
-    assert np.all(cg.node_features[5:] == 0.0)
-    assert cg.node_mask.tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
-    assert np.all(cg.edge_mask[5:] == 0) and np.all(cg.edge_mask[:, 5:] == 0)
-    assert np.all(cl.edge_ids[cl.order_adj == 0] == -1)
-    assert np.array_equal(cl.node_ids[:5], al.node_ids)
+    assert cg.num_nodes == 5 and not cg.has_master
+    assert np.array_equal(cg.adjacency, g.adjacency)
+    assert np.array_equal(cg.node_features, g.node_features)
+    assert np.array_equal(cg.edge_features, g.edge_features)
+    assert cg.node_mask.tolist() == [1, 1, 1, 1, 1]
+    assert np.all(cg.edge_mask == 1)
+    assert cl.num_nodes == 5
+    assert np.array_equal(cl.node_ids, al.node_ids)
+    assert np.array_equal(cl.edge_ids, al.edge_ids)
+    assert np.array_equal(cl.order_adj, al.order_adj)
 
 
 def test_split_two_chunks_preserve_node_features_of_unmasked_strokes():
@@ -334,11 +335,18 @@ def test_split_two_chunks_preserve_node_features_of_unmasked_strokes():
     g = build_local_graph(expr, cfg)
     al = _aligned_for(expr, g, Vocabulary.default())
     chunks = split_subexpressions(g, al, cfg)
-    assert len(chunks) == 2
+    assert [cg.num_nodes for cg, _ in chunks] == [8, 2]
     rebuilt = np.concatenate(
         [cg.node_features[cg.node_mask == 1.0] for cg, _ in chunks], axis=0)
     assert np.array_equal(rebuilt, g.node_features)
-    assert chunks[1][0].node_mask.tolist() == [1, 1, 0, 0, 0, 0, 0, 0]
+    assert chunks[1][0].node_mask.tolist() == [1, 1]
+    for (cg, cl), (lo, hi) in zip(chunks, [(0, 8), (8, 10)]):
+        sl = slice(lo, hi)
+        assert np.array_equal(cg.adjacency, g.adjacency[sl, sl])
+        assert np.array_equal(cg.edge_features, g.edge_features[sl, sl])
+        assert np.array_equal(cl.node_ids, al.node_ids[sl])
+        assert np.array_equal(cl.edge_ids, al.edge_ids[sl, sl])
+        assert np.array_equal(cl.order_adj, al.order_adj[sl, sl])
 
 
 def test_split_masks_strokes_whose_symbol_crosses_the_cut():
@@ -354,7 +362,11 @@ def test_split_masks_strokes_whose_symbol_crosses_the_cut():
     assert c0g.node_mask[7] == 0.0
     assert np.all(c0g.edge_mask[7] == 0.0) and np.all(c0g.edge_mask[:, 7] == 0.0)
     assert c0g.node_mask[:7].tolist() == [1] * 7
-    assert c1g.node_mask.tolist() == [0, 1, 0, 0, 0, 0, 0, 0]  # stroke 8 masked
+    assert np.all(c0g.edge_mask[:7, :7] == 1.0)
+    assert c1g.node_mask.tolist() == [0, 1]  # stroke 8 masked
+    assert c1g.edge_mask.tolist() == [[0, 0], [0, 1]]
+    # masking leaves the source graph's masks alone
+    assert np.all(g.node_mask == 1.0) and np.all(g.edge_mask == 1.0)
     # features survive even where the loss is masked
     assert np.array_equal(c0g.node_features[7], g.node_features[7])
     assert np.array_equal(c1g.node_features[0], g.node_features[8])
@@ -367,9 +379,12 @@ def test_split_augments_each_chunk_when_global():
     g = build_local_graph(expr, cfg)
     al = _aligned_for(expr, g, Vocabulary.default())
     chunks = split_subexpressions(g, al, cfg)
-    for cg, cl in chunks:
-        assert cg.has_master and cg.num_nodes == 9
-        assert cl.num_nodes == 8  # labels stay stroke-indexed
+    assert len(chunks) == 2
+    for (cg, cl), size in zip(chunks, (8, 2)):
+        assert cg.has_master and cg.num_nodes == size + 1
+        assert np.all(cg.adjacency[0, 1:] == 1)  # master links only real strokes
+        assert cl.num_nodes == size  # labels stay stroke-indexed
+    assert np.array_equal(chunks[1][0].node_features[0], g.node_features[8:].sum(axis=0))
     with pytest.raises(GraphError, match="split before augmenting"):
         split_subexpressions(chunks[0][0], chunks[0][1], cfg)
 

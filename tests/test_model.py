@@ -6,11 +6,13 @@ import pytest
 
 from inkgraph import engine as eg
 from inkgraph.engine import Tape, Tensor, backward
-from inkgraph.graphs import GraphConfig, ModeledGraph, augment_global, build_local_graph
+from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
+                             build_local_graph, split_subexpressions)
+from inkgraph.labels import Vocabulary, align_labels
 from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, ForwardResult,
                             ModelConfig, ModelError, edge_attention_layer,
                             forward, init_parameters, node_embed)
-from inkgraph.synth import generate_synthetic
+from inkgraph.synth import compose, generate_synthetic
 
 from oracles import finite_diff_grad, naive_conv1d, rel_err
 
@@ -470,3 +472,48 @@ def test_forward_end_to_end_gradients():
             got = grads[name].reshape(-1)[idx]
             # FD noise floor ~1e-9 at 64-bit dominates near-zero gradients
             assert abs(got - fd) <= 1e-4 * max(abs(fd), abs(got)) + 1e-8, (name, idx, got, fd)
+
+
+# ---------------------------------------------------------------------------
+# training chunks
+
+
+def test_chunks_forward_exactly_like_standalone_graphs():
+    # a chunk is the graph of its own strokes: the master sees nothing else
+    vocab = Vocabulary.default()
+    cfg = _small_config(hidden=16)
+    params = init_parameters(cfg, edge_dim=15, seed=0, dtype=np.float64)
+    _randomize(params, np.random.default_rng(14))
+
+    def logits(graph):
+        out = forward(graph, params, cfg)
+        return out.node_logits.data, out.edge_logits.data
+
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    expr, lg = compose([("sym", c) for c in "1+x"], "short")
+    local = build_local_graph(expr, GraphConfig(d_n=16, d_e=3))
+    aligned = align_labels(lg, local.adjacency, vocab)
+    n = local.num_nodes
+    assert n == 4
+    want = logits(augment_global(local))
+    for n_max in (n, n + 1, 8, 16, 32):
+        chunks = split_subexpressions(local, aligned, GraphConfig(d_n=16, d_e=3, n_max=n_max))
+        assert len(chunks) == 1
+        assert same(logits(chunks[0][0]), want), n_max
+
+    # the 'x' (strokes 7 and 8) crosses the cut; masks do not touch the forward
+    expr, lg = compose([("sym", c) for c in "1+2+3-5x9"], "long")
+    gcfg = GraphConfig(d_n=16, d_e=3, n_max=8)
+    local = build_local_graph(expr, gcfg)
+    aligned = align_labels(lg, local.adjacency, vocab)
+    chunks = split_subexpressions(local, aligned, gcfg)
+    assert [c.num_strokes for c, _ in chunks] == [8, 2]
+    for (chunk, _), sl in zip(chunks, (slice(0, 8), slice(8, 10))):
+        size = chunk.num_strokes
+        alone = ModeledGraph(adjacency=local.adjacency[sl, sl].copy(),
+                             node_features=local.node_features[sl].copy(),
+                             edge_features=local.edge_features[sl, sl].copy(),
+                             node_mask=np.ones(size), edge_mask=np.ones((size, size)))
+        assert same(logits(chunk), logits(augment_global(alone))), sl

@@ -8,10 +8,11 @@ import pytest
 
 from inkgraph import engine as eg
 from inkgraph.engine import Tape, Tensor, backward
-from inkgraph.graphs import GraphConfig, ModeledGraph, augment_global, build_local_graph
+from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
+                             build_local_graph, split_subexpressions)
 from inkgraph.labels import Vocabulary, align_labels
 from inkgraph.model import ModelConfig, forward, init_parameters
-from inkgraph.synth import generate_synthetic
+from inkgraph.synth import compose, generate_synthetic
 from inkgraph.train import (FitResult, TrainConfig, TrainError, edge_loss, fit,
                             graph_losses, history_to_csv, node_loss,
                             parse_config_text, primitive_counts, total_loss)
@@ -63,6 +64,13 @@ def test_train_config_validation():
         TrainConfig(focal_gamma=-1.0)
     with pytest.raises(TrainError, match="val_fraction"):
         TrainConfig(val_fraction=1.0)
+    for factor in (0.0, -0.5, 1.5, 5.0):
+        with pytest.raises(TrainError, match="decay_factor"):
+            TrainConfig(decay_factor=factor)
+    for patience in (0, -1):
+        with pytest.raises(TrainError, match="patience"):
+            TrainConfig(patience=patience)
+    assert TrainConfig(decay_factor=1.0, patience=1).decay_factor == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +223,47 @@ def test_masked_primitives_cannot_move_loss_or_grads():
     assert base_loss == new_loss
     for k in base_grads:
         assert np.array_equal(base_grads[k], new_grads[k]), k
+
+
+def test_split_masks_cannot_move_loss_or_grads():
+    # the 'x' (strokes 7 and 8) crosses the n_max 8 cut, so both chunks mask it
+    vocab = Vocabulary.default()
+    gcfg = GraphConfig(d_n=16, d_e=3, n_max=8)
+    expr, lg = compose([("sym", c) for c in "1+2+3-5x9"], "cut")
+    local = build_local_graph(expr, gcfg)
+    chunks = split_subexpressions(local, align_labels(lg, local.adjacency, vocab), gcfg)
+    mcfg = ModelConfig(hidden=8, layers=2, node_classes=vocab.num_symbols,
+                       edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
+    params = init_parameters(mcfg, gcfg.edge_dim, seed=0, dtype=np.float64)
+    tcfg = TrainConfig(dropout=0.0)
+
+    def run():
+        with Tape() as tape:
+            loss = graph_losses([(forward(g, params, mcfg), al, g.node_mask[1:],
+                                  g.edge_mask[1:, 1:]) for g, al in chunks], tcfg)
+            grads = backward(tape, loss, params)
+        return float(loss.data), grads
+
+    base_loss, base_grads = run()
+    cuts = []
+    for (g, al), cut in zip(chunks, (7, 0)):
+        assert g.node_mask[1 + cut] == 0.0
+        al.node_ids[cut] = (al.node_ids[cut] + 5) % vocab.num_symbols
+        for i, j in al.support_pairs():
+            if cut in (i, j):
+                assert g.edge_mask[1 + i, 1 + j] == 0.0
+                al.edge_ids[i, j] = (al.edge_ids[i, j] + 3) % vocab.num_edge_classes
+                cuts.append((i, j))
+    assert cuts == [(6, 7), (0, 1)]
+    new_loss, new_grads = run()
+    assert new_loss == base_loss
+    for k in base_grads:
+        assert np.array_equal(base_grads[k], new_grads[k]), k
+
+    # the same mutation on an unmasked stroke does move the loss
+    al = chunks[0][1]
+    al.node_ids[6] = (al.node_ids[6] + 5) % vocab.num_symbols
+    assert run()[0] != base_loss
 
 
 def test_graph_losses_match_manual_concatenation():
@@ -431,3 +480,8 @@ def test_parse_config_rejects_unknowns_and_bad_values():
         with pytest.raises(TrainError, match=rf"bad value '{raw}' for {section}\.{key}"):
             parse_config_text(f"[{section}]\n{key} = {raw}\n")
     assert parse_config_text("[train]\nseed = 0\n")["train"] == {"seed": 0}
+    # plateau knobs parse, then the TrainConfig they build rejects them
+    for text in ("decay_factor = 5", "decay_factor = 0", "patience = 0", "patience = -1"):
+        section = parse_config_text(f"[train]\n{text}\n")["train"]
+        with pytest.raises(TrainError, match=rf"{text.split()[0]} must be"):
+            TrainConfig(**section)
