@@ -284,9 +284,7 @@ def gather_rows(a, indices):
     out = a.data[idx]
 
     def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
+        _accum(a, _segment_sum(g, idx, a.data.shape[0]))
 
     return _record("gather_rows", out, (a,), back)
 
@@ -297,13 +295,30 @@ def scatter_rows(a, indices, num_rows):
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.shape[0] != a.data.shape[0]:
         raise ShapeError(f"scatter_rows: need one index per row, got {idx.shape} for {a.shape}")
-    out = np.zeros((num_rows,) + a.data.shape[1:], dtype=a.data.dtype)
-    np.add.at(out, idx, a.data)
+    out = _segment_sum(a.data, idx, num_rows)
 
     def back(g):
         _accum(a, g[idx])
 
     return _record("scatter_rows", out, (a,), back)
+
+
+def _run_starts(ids):
+    """First position of each run of equal values in a non-empty 1-D array."""
+    return np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+
+
+def _segment_sum(x, ids, num_rows):
+    """Rows of x summed into row ids[k] of a (num_rows, ...) zero array: one
+    reduceat over id-sorted rows instead of np.add.at's per-element loop."""
+    out = np.zeros((num_rows,) + x.shape[1:], dtype=x.dtype)
+    if ids.size:
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            x, ids = x[order], ids[order]
+        starts = _run_starts(ids)
+        out[ids[starts]] = np.add.reduceat(x, starts, axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +428,7 @@ def conv1d(x, w, stride=1, padding=0, groups=1):
     w = _as_tensor(w, like_dtype=x.dtype)
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d: expects (B,C,L) and (O,C/g,K), got {x.shape}, {w.shape}")
-    bsz, cin, length = x.shape
+    _, cin, length = x.shape
     cout, cper, k = w.shape
     if cin % groups or cout % groups or cper != cin // groups:
         raise ShapeError(f"conv1d: group mismatch, x={x.shape} w={w.shape} groups={groups}")
@@ -422,25 +437,82 @@ def conv1d(x, w, stride=1, padding=0, groups=1):
         raise ShapeError(f"conv1d: kernel {k} too large for length {length} (pad {padding})")
 
     if groups == 1 and k == 1 and stride == 1 and padding == 0:
-        # pointwise: one batched matmul
-        w2 = w.data[:, :, 0]
-        out = np.matmul(w2[None], x.data)
-
-        def back(g):
-            _accum(w, np.tensordot(g, x.data, axes=([0, 2], [0, 2]))[:, :, None])
-            _accum(x, np.matmul(w2.T[None], g))
-
-        return _record("conv1d", out, (x, w), back)
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
-    cg, og = cin // groups, cout // groups
-    wing = np.ascontiguousarray(win.reshape(bsz, groups, cg, lout, k))
-    wg = w.data.reshape(groups, og, cg, k)
-    out = np.einsum("bgclk,gock->bgol", wing, wg, optimize=True)
-    out = out.reshape(bsz, cout, lout).astype(x.dtype, copy=False)
+        kernel = _conv1d_pointwise
+    elif groups == cin == cout and stride == 1:
+        kernel = _conv1d_depthwise
+    else:
+        kernel = _conv1d_grouped
+    out, grads = kernel(x.data, w.data, stride, padding, groups)
 
     def back(g):
+        gx, gw = grads(g)
+        _accum(x, gx)
+        _accum(w, gw)
+
+    return _record("conv1d", out.astype(x.dtype, copy=False), (x, w), back)
+
+
+# Each conv1d kernel maps (x, w, stride, padding, groups) arrays to the output
+# and a function of the output gradient that returns (grad x, grad w).
+
+
+def _conv1d_pointwise(x, w, stride, padding, groups):
+    """Kernel 1, one group, no padding: one batched matmul."""
+    w2 = w[:, :, 0]
+    out = np.matmul(w2[None], x)
+
+    def grads(g):
+        return (np.matmul(w2.T[None], g),
+                np.tensordot(g, x, axes=([0, 2], [0, 2]))[:, :, None])
+
+    return out, grads
+
+
+_DEPTHWISE_BLOCK = 16  # channels per einsum call in _conv1d_depthwise
+
+
+def _conv1d_depthwise(x, w, stride, padding, groups):
+    """One filter per channel (groups == channels), stride 1. The forward runs
+    the grouped path's einsum on blocks of channels, which bounds the copy
+    einsum makes of the window view; every sum is the grouped path's, bit for
+    bit. The backward is a direct loop over the taps' shifted slices."""
+    bsz, c, length = x.shape
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    lout = win.shape[2]
+    out = np.empty((bsz, c, lout), dtype=np.result_type(x, w))
+    for lo in range(0, c, _DEPTHWISE_BLOCK):
+        hi = lo + _DEPTHWISE_BLOCK
+        out[:, lo:hi] = np.einsum("bgclk,gock->bgol", win[:, lo:hi, None], w[lo:hi, None],
+                                  optimize=True)[:, :, 0]
+
+    def grads(g):
+        gxp = np.zeros_like(xp)
+        gw = np.empty_like(w)
+        for kk in range(k):
+            gxp[:, :, kk:kk + lout] += g * w[:, :, kk]
+            gw[:, 0, kk] = np.einsum("bcl,bcl->c", g, xp[:, :, kk:kk + lout])
+        return gxp[:, :, padding:padding + length], gw
+
+    return out, grads
+
+
+def _conv1d_grouped(x, w, stride, padding, groups):
+    """Any stride, padding and grouping: one einsum over the window view.
+    The backward keeps that view of the padded input, not a contiguous copy
+    of it, which would be K times the input."""
+    bsz, cin, _ = x.shape
+    cout, _, k = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
+    lout = win.shape[2]
+    cg, og = cin // groups, cout // groups
+    wing = win.reshape(bsz, groups, cg, lout, k)
+    wg = w.reshape(groups, og, cg, k)
+    out = np.einsum("bgclk,gock->bgol", wing, wg, optimize=True).reshape(bsz, cout, lout)
+
+    def grads(g):
         gg = g.reshape(bsz, groups, og, lout)
         gw = np.einsum("bgclk,bgol->gock", wing, gg, optimize=True).reshape(w.shape)
         gxp = np.zeros_like(xp)
@@ -449,10 +521,9 @@ def conv1d(x, w, stride=1, padding=0, groups=1):
             contrib = np.einsum("bgol,goc->bgcl", gg, wg[:, :, :, kk], optimize=True)
             gxg[:, :, :, kk:kk + stride * lout:stride] += contrib
         gx = gxp if padding == 0 else gxp[:, :, padding:-padding]
-        _accum(x, gx)
-        _accum(w, gw.astype(w.dtype, copy=False))
+        return gx, gw.astype(w.dtype, copy=False)
 
-    return _record("conv1d", out, (x, w), back)
+    return out, grads
 
 
 def avg_pool1d(x, kernel, stride):
@@ -519,6 +590,35 @@ def masked_softmax(logits, mask, axis):
     return _record("masked_softmax", out, (logits,), back)
 
 
+def segment_softmax(logits, segment_ids):
+    """Softmax over the rows of each segment, separately per column.
+
+    Rows with equal ids form a segment; ids must be sorted, so that each
+    segment is one contiguous run of rows.
+    """
+    logits = _as_tensor(logits)
+    ids = np.asarray(segment_ids, dtype=np.int64)
+    if ids.shape != logits.data.shape[:1]:
+        raise ShapeError(f"segment_softmax: need one id per row, got {ids.shape} "
+                         f"for {logits.shape}")
+    if np.any(ids[1:] < ids[:-1]):
+        raise ShapeError("segment_softmax: segment ids must be sorted")
+    x = logits.data
+    if ids.size == 0:
+        return _record("segment_softmax", x.copy(), (logits,),
+                       lambda g: _accum(logits, g))
+    starts = _run_starts(ids)
+    seg = np.cumsum(np.r_[0, ids[1:] != ids[:-1]])  # run number of every row
+    e = np.exp(x - np.maximum.reduceat(x, starts, axis=0)[seg])
+    out = e / np.add.reduceat(e, starts, axis=0)[seg]
+
+    def back(g):
+        dot = np.add.reduceat(g * out, starts, axis=0)[seg]
+        _accum(logits, out * (g - dot))
+
+    return _record("segment_softmax", out, (logits,), back)
+
+
 def log_softmax(logits, axis):
     logits = _as_tensor(logits)
     mx = logits.data.max(axis=axis, keepdims=True)
@@ -539,9 +639,11 @@ def log_softmax(logits, axis):
 def backward(tape, loss, params=None):
     """Accumulate gradients for one recorded forward pass.
 
-    Visits ops in reverse execution order exactly once. Returns a dict of
-    gradient arrays when `params` (name -> Tensor) is given; parameters the
-    loss never touched get zeros.
+    Visits ops in reverse execution order exactly once, and consumes the tape:
+    each op's record, and the gradient of its output, is dropped as soon as
+    the op has passed that gradient on, so intermediate arrays are freed
+    during the pass. Returns a dict of gradient arrays when `params`
+    (name -> Tensor) is given; parameters the loss never touched get zeros.
     """
     if not isinstance(tape, Tape):
         raise EngineError("backward: first argument must be a Tape")
@@ -555,10 +657,12 @@ def backward(tape, loss, params=None):
         for t in inputs:
             t.grad = None
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, backfn in reversed(tape._nodes):
-        if out.grad is None:
-            continue
-        backfn(out.grad)
+    nodes = tape._nodes
+    while nodes:
+        out, _, backfn = nodes.pop()
+        if out.grad is not None:
+            backfn(out.grad)
+            out.grad = None
     if params is not None:
         return {
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))

@@ -1,12 +1,15 @@
 """Graph attention model over stroke graphs with edge features.
 
 Nodes are embedded by a separable-convolution encoder over resampled
-coordinates, edges by a shared two-layer MLP. Each attention layer scores
-(source, edge, target) concatenations, normalizes over neighbors, then passes
-messages; the message-concatenation variant re-widens features with the
-aggregated edge context and restores width by parameter-free average pooling.
-Readouts (final plus one auxiliary per earlier stage) consume the stage
-feature concatenated with the stage-0 embedding.
+coordinates, edges by a shared two-layer MLP. State lives on the nodes (V,
+hidden) and on the directed edges (E, hidden) of the graph. Each attention
+layer scores (source, edge, target) concatenations per edge, normalizes over
+each source's out-edges, then scatter-adds messages; the
+message-concatenation variant re-widens features with the aggregated edge
+context and restores width by averaging adjacent features. Readouts (final
+plus one auxiliary per earlier stage) consume the stage feature concatenated
+with the stage-0 embedding. A list of graphs runs as one disjoint union, with
+the node indices of each graph offset by the nodes before it.
 """
 
 from __future__ import annotations
@@ -166,44 +169,45 @@ def _readout(prefix, params, x):
 # attention layer
 
 
-def edge_attention_layer(h, b, adjacency, params, q, config, train=False, rng=None):
+def edge_index(adjacency):
+    """(src, dst) index arrays of a graph's directed edges, sorted by source
+    and then by target."""
+    return np.nonzero(np.asarray(adjacency))
+
+
+def edge_attention_layer(h, b, edges, params, q, config, train=False, rng=None):
     """One message-passing step. Returns (h', b', attention ndarray).
 
-    Attention logits score [W_h h_i ++ W_b b_ij ++ W_h h_j]; rows normalize
-    over neighbors only (non-neighbors get exactly zero). Non-edge feature
-    slots stay exactly zero through the layer.
+    h is the (V, hidden) node state, b the (E, hidden) state of the directed
+    edges edges = (src, dst), sorted by source. Attention logits score
+    [W_h h_src ++ W_b b ++ W_h h_dst] and are normalized over each source's
+    out-edges; a node without out-edges receives no message. The attention
+    comes back as one weight per edge, shape (E,).
     """
-    n = h.shape[0]
-    hidden = h.shape[1]
-    adj = np.asarray(adjacency) != 0
+    src, dst = edges
+    num_nodes, hidden = h.shape
+    num_edges = b.shape[0]
 
     hw = eg.matmul(h, params[f"layer{q}.wh"])
-    bw = eg.reshape(eg.matmul(eg.reshape(b, (n * n, hidden)), params[f"layer{q}.wb"]),
-                    (n, n, hidden))
-
-    src = eg.broadcast_to(eg.reshape(hw, (n, 1, hidden)), (n, n, hidden))
-    dst = eg.broadcast_to(eg.reshape(hw, (1, n, hidden)), (n, n, hidden))
-    trip = eg.concat([src, bw, dst], axis=2)
-    logits = eg.reshape(eg.matmul(eg.reshape(trip, (n * n, 3 * hidden)),
-                                  params[f"layer{q}.att"]), (n, n))
+    bw = eg.matmul(b, params[f"layer{q}.wb"])
+    hw_dst = eg.gather_rows(hw, dst)
+    trip = eg.concat([eg.gather_rows(hw, src), bw, hw_dst], axis=1)
+    logits = eg.matmul(trip, params[f"layer{q}.att"])
     if config.attn_leaky_relu:
         logits = eg.leaky_relu(logits, config.leaky_slope)
-    alpha = eg.masked_softmax(logits, adj, axis=1)
+    alpha = eg.segment_softmax(logits, src)
 
-    h_msg = eg.matmul(alpha, hw)
-    b_msg = eg.mul(eg.reshape(alpha, (n, n, 1)), bw)
+    h_msg = eg.scatter_rows(eg.mul(alpha, hw_dst), src, num_nodes)
+    b_msg = eg.mul(alpha, bw)
 
     if config.message_concat:
-        edge_sum = eg.tsum(b_msg, axis=1)
-        node_cat = eg.concat([h_msg, edge_sum], axis=1)
-        h_next = eg.reshape(
-            eg.avg_pool1d(eg.reshape(node_cat, (n, 1, 2 * hidden)), 2, 2), (n, hidden))
-        src_m = eg.broadcast_to(eg.reshape(h_msg, (n, 1, hidden)), (n, n, hidden))
-        dst_m = eg.broadcast_to(eg.reshape(h_msg, (1, n, hidden)), (n, n, hidden))
-        edge_cat = eg.concat([src_m, b_msg, dst_m], axis=2)
-        b_next = eg.reshape(
-            eg.avg_pool1d(eg.reshape(edge_cat, (n * n, 1, 3 * hidden)), 3, 3), (n, n, hidden))
-        b_next = eg.mul(b_next, Tensor(adj[:, :, None].astype(h.dtype)))
+        # re-widen with the aggregated edge context, then average adjacent
+        # feature pairs (nodes) or triples (edges) back to width
+        node_cat = eg.concat([h_msg, eg.scatter_rows(b_msg, src, num_nodes)], axis=1)
+        h_next = eg.tmean(eg.reshape(node_cat, (num_nodes, hidden, 2)), axis=2)
+        edge_cat = eg.concat([eg.gather_rows(h_msg, src), b_msg,
+                              eg.gather_rows(h_msg, dst)], axis=1)
+        b_next = eg.tmean(eg.reshape(edge_cat, (num_edges, hidden, 3)), axis=2)
     else:
         h_next = h_msg
         b_next = b_msg
@@ -216,7 +220,7 @@ def edge_attention_layer(h, b, adjacency, params, q, config, train=False, rng=No
         h_next = eg.dropout(h_next, config.dropout, rng)
         b_next = eg.dropout(b_next, config.dropout, rng)
 
-    return h_next, b_next, alpha.data.copy()
+    return h_next, b_next, alpha.data[:, 0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -249,46 +253,104 @@ class ForwardResult:
         return out
 
 
-def forward(graph, params, config, train=False, rng=None):
-    """Run the model over one graph. Master rows are excluded from all logits;
-    edge logits exist only for writing-order support pairs."""
+@dataclass
+class BatchResult:
+    """Logits of one forward over a disjoint union of graphs.
+
+    Logit rows are stacked in graph order: graph g owns node rows
+    node_offsets[g]:node_offsets[g + 1] and edge rows
+    edge_offsets[g]:edge_offsets[g + 1]. supports: per graph its
+    writing-order pairs; attention: per layer, one weight per directed edge of
+    the union; layouts: per graph (num_nodes, src, dst, first edge) of its
+    edges in local indices, to scatter its attention into a dense matrix.
+    """
+
+    node_logits: Tensor
+    edge_logits: Tensor
+    aux: list
+    supports: list
+    node_offsets: np.ndarray
+    edge_offsets: np.ndarray
+    attention: list
+    layouts: list
+
+    def __len__(self):
+        return len(self.supports)
+
+    def result(self, g, attention=True):
+        """Graph g's ForwardResult. A batch of one hands out its own tensors,
+        so gradients flow through them; in a larger batch the logits are
+        detached row slices, for evaluation."""
+        def rows(t, offsets):
+            if len(self) == 1:
+                return t
+            return Tensor(t.data[offsets[g]:offsets[g + 1]])
+
+        def stage(nl, el):
+            return rows(nl, self.node_offsets), rows(el, self.edge_offsets)
+
+        dense = []
+        if attention:
+            n, src, dst, lo = self.layouts[g]
+            for alpha in self.attention:
+                mat = np.zeros((n, n), dtype=alpha.dtype)
+                mat[src, dst] = alpha[lo:lo + src.size]
+                dense.append(mat)
+        node_logits, edge_logits = stage(self.node_logits, self.edge_logits)
+        return ForwardResult(node_logits=node_logits, edge_logits=edge_logits,
+                             support=self.supports[g],
+                             aux=[stage(nl, el) for nl, el in self.aux],
+                             attention=dense)
+
+
+def forward(graphs, params, config, train=False, rng=None):
+    """Run the model over one graph, or over a list of graphs as one disjoint
+    union. One graph gives its ForwardResult, a list gives a BatchResult.
+    Master rows are excluded from all logits; edge logits exist only for
+    writing-order support pairs."""
     if train and config.dropout > 0 and rng is None:
         raise ModelError("training forward needs an rng for dropout")
-    adj = graph.adjacency
-    n = graph.num_nodes
-    offset = 1 if graph.has_master else 0
-    hidden = config.hidden
+    single = not isinstance(graphs, (list, tuple))
+    if single:
+        graphs = [graphs]
+    if not graphs:
+        raise ModelError("forward needs at least one graph")
+    dtype = params["enc.out.w"].dtype
 
-    h0 = node_embed(np.asarray(graph.node_features, dtype=params["enc.out.w"].dtype),
-                    params)
+    # the union: node indices offset by the nodes of earlier graphs
+    src, dst, edge_rows, strokes, sup_edges = [], [], [], [], []
+    supports, layouts = [], []
+    node_base = edge_base = 0
+    for graph in graphs:
+        n = graph.num_nodes
+        off = 1 if graph.has_master else 0
+        rows, cols = edge_index(graph.adjacency)
+        src.append(rows + node_base)
+        dst.append(cols + node_base)
+        edge_rows.append(graph.edge_features[rows, cols])
+        strokes.append(np.arange(node_base + off, node_base + n))
+        edge_of = np.zeros((n, n), dtype=np.int64)
+        edge_of[rows, cols] = np.arange(edge_base, edge_base + rows.size)
+        sup_i, sup_j = np.nonzero(np.triu(graph.adjacency[off:, off:], 1))
+        sup_edges.append(edge_of[sup_i + off, sup_j + off])
+        supports.append(list(zip(sup_i.tolist(), sup_j.tolist())))
+        layouts.append((n, rows, cols, edge_base))
+        node_base += n
+        edge_base += rows.size
+    edges = (np.concatenate(src), np.concatenate(dst))
+    strokes = np.concatenate(strokes)
+    sup_edges = np.concatenate(sup_edges)
 
-    # embed only linked slots; everything else stays exactly zero
-    pair_rows = np.nonzero(adj)
-    flat_idx = pair_rows[0].astype(np.int64) * n + pair_rows[1].astype(np.int64)
-    raw_rows = Tensor(np.asarray(graph.edge_features, dtype=h0.dtype)[pair_rows])
-    if flat_idx.size:
-        emb_rows = _edge_mlp_rows(raw_rows, params)
-        b0 = eg.reshape(eg.scatter_rows(emb_rows, flat_idx, n * n), (n, n, hidden))
-    else:
-        b0 = Tensor(np.zeros((n, n, hidden), dtype=h0.dtype))
-
-    local_rows = np.arange(offset, n, dtype=np.int64)
-    sup_local = np.asarray(np.nonzero(np.triu(adj[offset:, offset:], 1))).T
-    support = [(int(i), int(j)) for i, j in sup_local]
-    sup_flat = np.array([(i + offset) * n + (j + offset) for i, j in support], dtype=np.int64)
+    h0 = node_embed(np.concatenate([g.node_features for g in graphs]).astype(dtype), params)
+    b0 = _edge_mlp_rows(Tensor(np.concatenate(edge_rows).astype(dtype)), params)
+    h0_strokes = eg.gather_rows(h0, strokes)
+    b0_support = eg.gather_rows(b0, sup_edges)
 
     def stage_readout(prefix, hq, bq):
-        node_in = eg.concat([eg.gather_rows(hq, local_rows),
-                             eg.gather_rows(h0, local_rows)], axis=1)
-        node_logits = _readout(f"{prefix}.node", params, node_in)
-        if support:
-            eq = eg.gather_rows(eg.reshape(bq, (n * n, hidden)), sup_flat)
-            e0 = eg.gather_rows(eg.reshape(b0, (n * n, hidden)), sup_flat)
-            edge_in = eg.concat([eq, e0], axis=1)
-            edge_logits = _readout(f"{prefix}.edge", params, edge_in)
-        else:
-            edge_logits = Tensor(np.zeros((0, config.edge_classes), dtype=h0.dtype))
-        return node_logits, edge_logits
+        node_in = eg.concat([eg.gather_rows(hq, strokes), h0_strokes], axis=1)
+        edge_in = eg.concat([eg.gather_rows(bq, sup_edges), b0_support], axis=1)
+        return (_readout(f"{prefix}.node", params, node_in),
+                _readout(f"{prefix}.edge", params, edge_in))
 
     aux = []
     attention = []
@@ -296,10 +358,14 @@ def forward(graph, params, config, train=False, rng=None):
     if config.aux_readouts:
         aux.append(stage_readout("read.aux0", h, b))
     for q in range(config.layers):
-        h, b, alpha = edge_attention_layer(h, b, adj, params, q, config, train, rng)
+        h, b, alpha = edge_attention_layer(h, b, edges, params, q, config, train, rng)
         attention.append(alpha)
         if config.aux_readouts and q < config.layers - 1:
             aux.append(stage_readout(f"read.aux{q + 1}", h, b))
     node_logits, edge_logits = stage_readout("read.final", h, b)
-    return ForwardResult(node_logits=node_logits, edge_logits=edge_logits,
-                         support=support, aux=aux, attention=attention)
+    batch = BatchResult(
+        node_logits=node_logits, edge_logits=edge_logits, aux=aux, supports=supports,
+        node_offsets=np.cumsum([0] + [g.num_strokes for g in graphs]),
+        edge_offsets=np.cumsum([0] + [len(s) for s in supports]),
+        attention=attention, layouts=layouts)
+    return batch.result(0) if single else batch

@@ -1,10 +1,9 @@
 """Losses, the training loop, and the key=value config file.
 
 Node classification uses cross-entropy, edge classification a focal loss.
-Masks multiply per-primitive terms before reduction, so mutating a masked
-label cannot change the loss or any gradient. Batches concatenate the
-per-graph logits per readout stage, which reproduces the semantics of one
-big block-diagonal graph.
+Masks weight per-primitive terms before reduction, so mutating a masked
+label cannot change the loss or any gradient. A batch is one forward over the
+disjoint union of its graphs, so one loss call covers every graph's rows.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from . import engine as eg
 from .engine import Adam, PlateauScheduler, Tape, Tensor, backward
 from .graphs import GraphConfig
 from .metrics import _support_index, primitive_counts
-from .model import ModelConfig, forward, init_parameters
+from .model import BatchResult, ModelConfig, forward, init_parameters
 
 
 class TrainError(Exception):
@@ -80,31 +79,28 @@ def _onehot(labels, num_classes):
 
 def node_loss(logits, labels, mask):
     """Mean cross-entropy over mask == 1 nodes; exactly zero when all are masked."""
-    labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
-    denom = float(mask.sum())
-    if logits.shape[0] == 0 or denom == 0.0:
-        return _zero_scalar(logits.dtype)
-    logp = eg.log_softmax(logits, axis=1)
-    picked = eg.tsum(eg.mul(logp, Tensor(_onehot(labels, logits.shape[1]))), axis=1)
-    total = eg.tsum(eg.mul(picked, Tensor(mask)))
-    return eg.scale(total, -1.0 / denom)
+    return _weighted_loss(logits, labels, mask, float(mask.sum()))
 
 
 def edge_loss(logits, labels, mask, gamma=1.5):
     """Mean focal loss -(1 - p_t)^gamma * log p_t over mask == 1 support slots."""
-    labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
-    denom = float(mask.sum())
-    if logits.shape[0] == 0 or denom == 0.0:
+    return _weighted_loss(logits, labels, mask, float(mask.sum()), gamma)
+
+
+def _weighted_loss(logits, labels, weight, denom, gamma=None):
+    """-sum_k weight_k * log p_k / denom over rows, with the focal factor
+    (1 - p_k)^gamma when gamma is given; exactly zero without any weight."""
+    if logits.shape[0] == 0 or not np.any(weight):
         return _zero_scalar(logits.dtype)
+    labels = np.asarray(labels, dtype=np.int64)
     logp = eg.log_softmax(logits, axis=1)
     picked = eg.tsum(eg.mul(logp, Tensor(_onehot(labels, logits.shape[1]))), axis=1)
-    p_t = eg.texp(picked)
-    weight = eg.pow_scalar(eg.add_const(eg.neg(p_t), 1.0), gamma)
-    contrib = eg.mul(weight, picked)
-    total = eg.tsum(eg.mul(contrib, Tensor(mask)))
-    return eg.scale(total, -1.0 / denom)
+    if gamma is not None:
+        focal = eg.pow_scalar(eg.add_const(eg.neg(eg.texp(picked)), 1.0), gamma)
+        picked = eg.mul(focal, picked)
+    return eg.scale(eg.tsum(eg.mul(picked, Tensor(weight))), -1.0 / denom)
 
 
 def total_loss(final_node, final_edge, aux_pairs, node_weight=0.5, aux_weight=0.3):
@@ -133,47 +129,62 @@ def _edge_targets(aligned, support, edge_mask):
     return aligned.edge_ids[rows, cols], edge_mask[rows, cols].astype(np.float64)
 
 
-def graph_losses(results_and_targets, config):
-    """Stage-concatenated losses for a batch.
+def graph_losses(results_and_targets, config, per_graph=False):
+    """Total loss Tensor of a batch.
 
-    Takes [(ForwardResult, AlignedLabels, node_mask, edge_mask), ...]; returns
-    the total loss Tensor. Concatenation per stage makes the means run over
-    every unmasked primitive of the batch at once.
+    Takes [(result, AlignedLabels, node_mask, edge_mask), ...], one item per
+    graph. Each result is its graph's ForwardResult, or every item holds the
+    BatchResult of one forward over the items' graphs in item order. The
+    means run over every unmasked primitive of the batch at once; with
+    per_graph, each graph's primitives are averaged on their own and the
+    loss is the sum of the graphs' losses.
     """
-    num_aux = len(results_and_targets[0][0].aux)
-    node_parts = [[] for _ in range(num_aux + 1)]
-    node_labels, node_masks = [], []
-    edge_parts = [[] for _ in range(num_aux + 1)]
-    edge_labels, edge_masks = [], []
-    for res, aligned, nmask, emask in results_and_targets:
-        node_parts[0].append(res.node_logits)
-        for s, (nl, _) in enumerate(res.aux):
-            node_parts[s + 1].append(nl)
+    stages, supports = _stages([item[0] for item in results_and_targets])
+    node_labels, node_weights, edge_labels, edge_weights = [], [], [], []
+    for support, (_, aligned, nmask, emask) in zip(supports, results_and_targets):
+        labels, mask = _edge_targets(aligned, support, emask)
         node_labels.append(aligned.node_ids)
-        node_masks.append(nmask)
-        labels, mask = _edge_targets(aligned, res.support, emask)
-        edge_parts[0].append(res.edge_logits)
-        for s, (_, el) in enumerate(res.aux):
-            edge_parts[s + 1].append(el)
         edge_labels.append(labels)
-        edge_masks.append(mask)
+        node_weights.append(_per_graph(nmask) if per_graph else nmask)
+        edge_weights.append(_per_graph(mask) if per_graph else mask)
     nl_cat = np.concatenate(node_labels)
-    nm_cat = np.concatenate(node_masks)
-    el_cat = np.concatenate(edge_labels) if edge_labels else np.zeros(0, dtype=np.int64)
-    em_cat = np.concatenate(edge_masks) if edge_masks else np.zeros(0)
+    el_cat = np.concatenate(edge_labels)
     el_cat = np.where(el_cat < 0, 0, el_cat)  # slots without support never pass the mask
+    nw_cat = np.concatenate(node_weights).astype(np.float64)
+    ew_cat = np.concatenate(edge_weights)
+    # per graph the weights are already normalized; else the mean runs over the batch
+    n_denom, e_denom = (1.0, 1.0) if per_graph else (float(nw_cat.sum()), float(ew_cat.sum()))
 
-    def stage_losses(s):
-        n_logits = eg.concat(node_parts[s], axis=0)
-        e_logits = eg.concat(edge_parts[s], axis=0)
-        ln = node_loss(n_logits, nl_cat, nm_cat)
-        le = edge_loss(e_logits, el_cat, em_cat, gamma=config.focal_gamma)
-        return ln, le
+    def stage_losses(n_logits, e_logits):
+        return (_weighted_loss(n_logits, nl_cat, nw_cat, n_denom),
+                _weighted_loss(e_logits, el_cat, ew_cat, e_denom, config.focal_gamma))
 
-    final_n, final_e = stage_losses(0)
-    aux = [stage_losses(s) for s in range(1, num_aux + 1)]
+    (final_n, final_e), *aux = [stage_losses(nl, el) for nl, el in stages]
     return total_loss(final_n, final_e, aux,
                       node_weight=config.node_weight, aux_weight=config.aux_weight)
+
+
+def _per_graph(mask):
+    """mask / mask.sum(), or all zeros when the graph has nothing unmasked."""
+    mask = np.asarray(mask, dtype=np.float64)
+    denom = float(mask.sum())
+    return mask / denom if denom else np.zeros_like(mask)
+
+
+def _stages(results):
+    """([(node_logits, edge_logits) per stage, final first], per-graph supports)
+    of a BatchResult, or of ForwardResults concatenated per stage."""
+    if isinstance(results[0], BatchResult):
+        batch = results[0]
+        return [(batch.node_logits, batch.edge_logits)] + batch.aux, batch.supports
+
+    def cat(tensors):
+        return tensors[0] if len(tensors) == 1 else eg.concat(tensors, axis=0)
+
+    parts = [[(r.node_logits, r.edge_logits)] + r.aux for r in results]
+    stages = [(cat([p[s][0] for p in parts]), cat([p[s][1] for p in parts]))
+              for s in range(len(parts[0]))]
+    return stages, [r.support for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -215,29 +226,18 @@ def fit(train_items, val_items, model_config, train_config, edge_dim, progress=N
         opt.lr = lr_now
         batch_losses = []
         for lo in range(0, len(order), train_config.batch_size):
-            idxs = order[lo:lo + train_config.batch_size]
+            items = [train_items[idx] for idx in order[lo:lo + train_config.batch_size]]
             with Tape() as tape:
-                triples = []
-                for idx in idxs:
-                    graph, aligned = train_items[idx]
-                    res = forward(graph, params, model_config, train=True, rng=drop_rng)
-                    nmask, emask = _local_masks(graph)
-                    triples.append((res, aligned, nmask, emask))
-                loss = graph_losses(triples, train_config)
+                res = forward([g for g, _ in items], params, model_config, train=True,
+                              rng=drop_rng)
+                loss = graph_losses([(res, aligned, *_local_masks(g)) for g, aligned in items],
+                                    train_config)
                 grads = backward(tape, loss, params)
             opt.step(grads)
             batch_losses.append(float(loss.data))
         train_loss = float(np.mean(batch_losses))
 
-        val_losses = []
-        counts = np.zeros(4, dtype=np.int64)
-        for graph, aligned in val_items:
-            res = forward(graph, params, model_config, train=False)
-            nmask, emask = _local_masks(graph)
-            vloss = graph_losses([(res, aligned, nmask, emask)], train_config)
-            val_losses.append(float(vloss.data))
-            counts += primitive_counts(res, aligned, nmask, emask)
-        val_loss = float(np.mean(val_losses))
+        val_loss, counts = validate(val_items, params, model_config, train_config)
         node_acc = counts[0] / counts[1] if counts[1] else 0.0
         edge_acc = counts[2] / counts[3] if counts[3] else 0.0
 
@@ -254,6 +254,21 @@ def fit(train_items, val_items, model_config, train_config, edge_dim, progress=N
 
     return FitResult(params=params, best_params=best_params, history=history,
                      best_epoch=best_epoch)
+
+
+def validate(items, params, model_config, train_config):
+    """(mean of the graphs' own losses, summed primitive_counts) over
+    [(ModeledGraph, AlignedLabels), ...], in batches of batch_size graphs."""
+    loss_sum = 0.0
+    counts = np.zeros(4, dtype=np.int64)
+    for lo in range(0, len(items), train_config.batch_size):
+        batch = items[lo:lo + train_config.batch_size]
+        res = forward([g for g, _ in batch], params, model_config, train=False)
+        targets = [(res, aligned, *_local_masks(g)) for g, aligned in batch]
+        loss_sum += float(graph_losses(targets, train_config, per_graph=True).data)
+        for k, (_, aligned, nmask, emask) in enumerate(targets):
+            counts += primitive_counts(res.result(k, attention=False), aligned, nmask, emask)
+    return loss_sum / len(items), counts
 
 
 def history_to_csv(history):

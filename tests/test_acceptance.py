@@ -171,6 +171,19 @@ def test_gradient_suite():
                                                  Tensor(wls))),
          {"x": r((4, 5))}),
     ]
+    # drawn from their own generator, so the cases above keep their data
+    r2 = np.random.default_rng(1).standard_normal
+    wdw = r2((2, 3, 10))
+    seg_ids = np.array([0, 0, 1, 1, 1, 3])  # segment 2 is empty
+    wss = r2((6, 2))
+    cases += [
+        ("conv1d_depthwise", lambda t: eg.tsum(eg.mul(
+            eg.conv1d(t["x"], t["w"], stride=1, padding=4, groups=3), Tensor(wdw))),
+         {"x": r2((2, 3, 10)), "w": r2((3, 1, 9))}),
+        ("segment_softmax", lambda t: eg.tsum(eg.mul(
+            eg.segment_softmax(t["x"], seg_ids), Tensor(wss))),
+         {"x": r2((6, 2))}),
+    ]
     worst_primitive = 0.0
     for name, build, arrays in cases:
         err = fd_worst(build, arrays)

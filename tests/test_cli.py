@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from inkgraph.cli import main
-from inkgraph.dataset import read_dataset
+from inkgraph.dataset import read_dataset, write_dataset
 from inkgraph.engine import load_checkpoint, save_checkpoint
 from inkgraph.ink import parse_lg
+from inkgraph.labels import Vocabulary
+from inkgraph.synth import compose
 
 CONFIG = """
 [model]
@@ -259,6 +261,28 @@ def test_synth_pipeline_end_to_end(workdir, capsys):
     assert code == 0
     doc = json.loads((workdir / "conf" / "confusion.json").read_text(encoding="utf-8"))
     assert set(doc) == {"pairs", "symbols"}
+
+
+def test_edgeless_corpus_trains_and_evaluates(workdir, capsys):
+    # one-stroke expressions without the master node: every graph has E = 0
+    pairs = [compose([("sym", c)], f"one_{c}") for c in "0123"]
+    assert all(expr.num_strokes == 1 for expr, _ in pairs)
+    data = workdir / "one"
+    data.mkdir()
+    write_dataset(data / "dataset.bin", pairs, Vocabulary.default())
+    (workdir / "run.cfg").write_text(CONFIG + "global_graph = false\n", encoding="utf-8")
+
+    run = _train(workdir, capsys, data)
+    rows = (run / "history.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert all(np.isfinite(float(v)) for v in row.split(","))
+    assert load_checkpoint(run / "checkpoint.bin")["graph_config"]["global_graph"] is False
+
+    code, out, err = _run(["eval", "--data", str(data), "--out", str(workdir / "ev"),
+                           "--checkpoint", str(run / "checkpoint.bin")], capsys)
+    assert code == 0, err
+    assert "exp_rate" in out
 
 
 def test_train_reruns_are_byte_identical(workdir, capsys):

@@ -158,6 +158,86 @@ def test_softmax_family_matches_finite_differences():
            {"l": logits})
 
 
+def test_segment_softmax_matches_finite_differences():
+    rng = np.random.default_rng(9)
+    ids = np.array([0, 0, 0, 2, 2, 5, 6, 6])  # segments 1, 3 and 4 are empty
+    logits = rng.standard_normal((8, 2))
+    r = rng.standard_normal((8, 2))
+    _check(lambda t: eg.tsum(eg.mul(eg.segment_softmax(t["l"], ids), Tensor(r))),
+           {"l": logits})
+
+
+def test_segment_softmax_normalizes_each_run_and_handles_no_rows():
+    rng = np.random.default_rng(10)
+    ids = np.array([1, 1, 3, 4, 4, 4])
+    logits = rng.standard_normal((6, 3)) * 5
+    out = eg.segment_softmax(Tensor(logits), ids).data
+    for seg in (1, 3, 4):
+        rows = ids == seg
+        want = np.exp(logits[rows] - logits[rows].max(axis=0))
+        assert rel_err(out[rows], want / want.sum(axis=0)) < 1e-12
+    assert np.array_equal(out[2], np.ones(3))  # a one-row segment gets weight 1
+
+    # E = 0: no rows, no segments; the gradient is empty too
+    t = Tensor(np.zeros((0, 1)), requires_grad=True)
+    with Tape() as tape:
+        out = eg.segment_softmax(t, np.zeros(0, dtype=np.int64))
+        backward(tape, eg.tsum(out))
+    assert out.shape == (0, 1) and t.grad.shape == (0, 1)
+
+    with pytest.raises(ShapeError, match="sorted"):
+        eg.segment_softmax(Tensor(logits), ids[::-1])
+    with pytest.raises(ShapeError, match="one id per row"):
+        eg.segment_softmax(Tensor(logits), ids[:5])
+
+
+def test_scatter_and_gather_match_add_at_on_unsorted_and_empty_indices():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 3))
+    for idx in (np.array([4, 0, 4, 2, 0, 4]), np.array([1, 1, 2, 3, 5, 5]),
+                np.zeros(0, dtype=np.int64)):
+        rows = a[:idx.size]
+        want = np.zeros((7, 3))
+        np.add.at(want, idx, rows)
+        assert rel_err(eg.scatter_rows(Tensor(rows), idx, 7).data, want) < 1e-15
+
+        t = Tensor(a, requires_grad=True)
+        g = rng.standard_normal((idx.size, 3))
+        with Tape() as tape:
+            backward(tape, eg.tsum(eg.mul(eg.gather_rows(t, idx), Tensor(g))))
+        want = np.zeros_like(a)
+        np.add.at(want, idx, g)
+        assert rel_err(t.grad, want) < 1e-15
+
+
+def test_depthwise_conv1d_matches_the_grouped_path():
+    # groups == channels at stride 1 runs the grouped einsum on blocks of
+    # channels (same sums, bit for bit) and a direct per-tap backward
+    rng = np.random.default_rng(12)
+    for dtype in (np.float64, np.float32):
+        for channels in (1, 5, eg._DEPTHWISE_BLOCK + 4):
+            for padding in (0, 4):
+                x = rng.standard_normal((3, channels, 12)).astype(dtype)
+                w = rng.standard_normal((channels, 1, 9)).astype(dtype)
+                out, grads = eg._conv1d_depthwise(x, w, 1, padding, channels)
+                ref, ref_grads = eg._conv1d_grouped(x, w, 1, padding, channels)
+                assert out.shape == (3, channels, 12 + 2 * padding - 8)
+                assert out.dtype == dtype and np.array_equal(out, ref)
+                g = rng.standard_normal(out.shape).astype(dtype)
+                for got, want in zip(grads(g), ref_grads(g)):
+                    assert got.shape == want.shape and got.dtype == dtype
+                    assert rel_err(got, want) < (1e-12 if dtype == np.float64 else 1e-5)
+                if dtype == np.float64:
+                    want = naive_conv1d(x, w, padding=padding, groups=channels)
+                    assert rel_err(out, want) < 1e-12
+
+    x = rng.standard_normal((2, 3, 10))
+    w = rng.standard_normal((3, 1, 9))
+    r = rng.standard_normal((2, 3, 10))
+    _check(lambda t: eg.tsum(eg.mul(eg.conv1d(t["x"], t["w"], padding=4, groups=3),
+                                    Tensor(r))), {"x": x, "w": w})
+
+
 def test_dropout_gradient_with_fixed_seed():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((5, 5))

@@ -9,9 +9,9 @@ from inkgraph.engine import Tape, Tensor, backward
 from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
                              build_local_graph, split_subexpressions)
 from inkgraph.labels import Vocabulary, align_labels
-from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, ForwardResult,
-                            ModelConfig, ModelError, edge_attention_layer,
-                            forward, init_parameters, node_embed)
+from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, BatchResult,
+                            ForwardResult, ModelConfig, ModelError, edge_attention_layer,
+                            edge_index, forward, init_parameters, node_embed)
 from inkgraph.synth import compose, generate_synthetic
 
 from oracles import finite_diff_grad, naive_conv1d, rel_err
@@ -179,22 +179,37 @@ def _layer_inputs(rng, n, hidden, isolated=None):
     return h, b, adj
 
 
+def _edge_list(b, adj):
+    """(edges, (E, hidden) state) of a dense (n, n, hidden) edge state."""
+    edges = edge_index(adj)
+    return edges, Tensor(b.data[edges])
+
+
+def _dense(values, edges, n):
+    """(n, n, ...) array holding per-edge values at their edges, zero elsewhere."""
+    out = np.zeros((n, n) + values.shape[1:], dtype=values.dtype)
+    out[edges] = values
+    return out
+
+
 def test_attention_rows_sum_to_one_on_support():
     rng = np.random.default_rng(3)
     cfg = _small_config()
     params = init_parameters(cfg, edge_dim=7, seed=0, dtype=np.float64)
     _randomize(params, rng)
     h, b, adj = _layer_inputs(rng, 7, cfg.hidden, isolated=4)
-    _, b_next, alpha = edge_attention_layer(h, b, adj, params, 0, cfg)
+    edges, be = _edge_list(b, adj)
+    _, b_next, att = edge_attention_layer(h, be, edges, params, 0, cfg)
+    alpha = _dense(att, edges, 7)
 
-    assert alpha.shape == (7, 7)
+    assert att.shape == (int(adj.sum()),)
     assert np.all(alpha[adj == 0] == 0.0)
     assert np.all(alpha[4] == 0.0) and np.all(alpha[:, 4] == 0.0)
     linked = adj.sum(axis=1) > 0
     assert np.allclose(alpha[linked].sum(axis=1), 1.0, atol=1e-12)
     assert np.all(alpha[adj != 0] > 0.0)
-    # non-edge feature slots stay exactly zero through the layer
-    assert np.all(b_next.data[adj == 0] == 0.0)
+    # edge state exists on the graph's edges only
+    assert b_next.shape == (int(adj.sum()), cfg.hidden)
 
 
 def test_single_neighbor_copies_transformed_source():
@@ -205,9 +220,10 @@ def test_single_neighbor_copies_transformed_source():
     adj = np.array([[0, 1], [1, 0]], dtype=np.int8)
     h = Tensor(rng.standard_normal((2, cfg.hidden)))
     b = Tensor(rng.standard_normal((2, 2, cfg.hidden)) * adj[:, :, None])
-    h_next, _, alpha = edge_attention_layer(h, b, adj, params, 0, cfg)
+    edges, be = _edge_list(b, adj)
+    h_next, _, att = edge_attention_layer(h, be, edges, params, 0, cfg)
 
-    assert np.array_equal(alpha, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(_dense(att, edges, 2), np.array([[0.0, 1.0], [1.0, 0.0]]))
     hw = h.data @ params["layer0.wh"].data
     assert np.array_equal(h_next.data[0], hw[1])
     assert np.array_equal(h_next.data[1], hw[0])
@@ -220,7 +236,9 @@ def test_plain_aggregation_matches_numpy():
         params = init_parameters(cfg, edge_dim=7, seed=0, dtype=np.float64)
         _randomize(params, rng)
         h, b, adj = _layer_inputs(rng, 6, cfg.hidden)
-        h_next, b_next, alpha = edge_attention_layer(h, b, adj, params, 1, cfg)
+        edges, be = _edge_list(b, adj)
+        h_next, b_next, att = edge_attention_layer(h, be, edges, params, 1, cfg)
+        alpha = _dense(att, edges, 6)
 
         hw = h.data @ params["layer1.wh"].data
         bw = b.data @ params["layer1.wb"].data
@@ -230,7 +248,7 @@ def test_plain_aggregation_matches_numpy():
             want_h = want_h + h.data
             want_b = want_b + b.data
         assert rel_err(h_next.data, want_h) < 1e-12
-        assert rel_err(b_next.data, want_b) < 1e-12
+        assert rel_err(_dense(b_next.data, edges, 6), want_b) < 1e-12
 
 
 def test_concat_layer_matches_numpy():
@@ -240,7 +258,8 @@ def test_concat_layer_matches_numpy():
     _randomize(params, rng)
     n, hidden = 5, cfg.hidden
     h, b, adj = _layer_inputs(rng, n, hidden)
-    h_next, b_next, alpha = edge_attention_layer(h, b, adj, params, 0, cfg)
+    edges, be = _edge_list(b, adj)
+    h_next, b_next, att = edge_attention_layer(h, be, edges, params, 0, cfg)
 
     hw = h.data @ params["layer0.wh"].data
     bw = b.data @ params["layer0.wb"].data
@@ -256,7 +275,7 @@ def test_concat_layer_matches_numpy():
     want_alpha /= want_alpha.sum(axis=1, keepdims=True)
     want_alpha[adj.sum(axis=1) == 0] = 0.0
     want_alpha *= adj != 0
-    assert rel_err(alpha, want_alpha) < 1e-12
+    assert rel_err(_dense(att, edges, n), want_alpha) < 1e-12
 
     h_msg = want_alpha @ hw
     b_msg = want_alpha[:, :, None] * bw
@@ -269,7 +288,7 @@ def test_concat_layer_matches_numpy():
     ], axis=2)
     want_b = edge_cat.reshape(n, n, hidden, 3).mean(axis=3) * (adj[:, :, None] != 0)
     assert rel_err(h_next.data, want_h) < 1e-12
-    assert rel_err(b_next.data, want_b) < 1e-12
+    assert rel_err(_dense(b_next.data, edges, n), want_b) < 1e-12
 
 
 def test_layer_permutation_equivariance():
@@ -284,10 +303,14 @@ def test_layer_permutation_equivariance():
     bp = Tensor(b.data[perm][:, perm].copy())
     adjp = adj[perm][:, perm]
 
-    h1, b1, a1 = edge_attention_layer(h, b, adj, params, 0, cfg)
-    h2, b2, a2 = edge_attention_layer(hp, bp, adjp, params, 0, cfg)
+    edges, be = _edge_list(b, adj)
+    edges_p, be_p = _edge_list(bp, adjp)
+    h1, b1, a1 = edge_attention_layer(h, be, edges, params, 0, cfg)
+    h2, b2, a2 = edge_attention_layer(hp, be_p, edges_p, params, 0, cfg)
+    b1, a1 = _dense(b1.data, edges, n), _dense(a1, edges, n)
+    b2, a2 = _dense(b2.data, edges_p, n), _dense(a2, edges_p, n)
     assert rel_err(h2.data, h1.data[perm]) < 1e-12
-    assert rel_err(b2.data, b1.data[perm][:, perm]) < 1e-12
+    assert rel_err(b2, b1[perm][:, perm]) < 1e-12
     assert rel_err(a2, a1[perm][:, perm]) < 1e-12
 
 
@@ -297,11 +320,12 @@ def test_dropout_branch_is_seeded_and_training_only():
     params = init_parameters(cfg, edge_dim=7, seed=0, dtype=np.float64)
     _randomize(params, rng)
     h, b, adj = _layer_inputs(rng, 5, cfg.hidden)
+    edges, be = _edge_list(b, adj)
 
-    plain, _, _ = edge_attention_layer(h, b, adj, params, 0, cfg, train=False)
-    t1, _, _ = edge_attention_layer(h, b, adj, params, 0, cfg, train=True, rng=11)
-    t2, _, _ = edge_attention_layer(h, b, adj, params, 0, cfg, train=True, rng=11)
-    t3, _, _ = edge_attention_layer(h, b, adj, params, 0, cfg, train=True, rng=12)
+    plain, _, _ = edge_attention_layer(h, be, edges, params, 0, cfg, train=False)
+    t1, _, _ = edge_attention_layer(h, be, edges, params, 0, cfg, train=True, rng=11)
+    t2, _, _ = edge_attention_layer(h, be, edges, params, 0, cfg, train=True, rng=11)
+    t3, _, _ = edge_attention_layer(h, be, edges, params, 0, cfg, train=True, rng=12)
     assert np.array_equal(t1.data, t2.data)
     assert not np.array_equal(t1.data, plain.data)
     assert not np.array_equal(t1.data, t3.data)
@@ -517,3 +541,58 @@ def test_chunks_forward_exactly_like_standalone_graphs():
                              edge_features=local.edge_features[sl, sl].copy(),
                              node_mask=np.ones(size), edge_mask=np.ones((size, size)))
         assert same(logits(chunk), logits(augment_global(alone))), sl
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+def _mixed_batch(rng, edge_dim):
+    """Graphs of every shape a batch can hold, in one list."""
+    def lone(n):  # n strokes and no edge at all
+        return ModeledGraph(adjacency=np.zeros((n, n), dtype=np.int8),
+                            node_features=rng.standard_normal((n, 2, 10)),
+                            edge_features=np.zeros((n, n, edge_dim)),
+                            node_mask=np.ones(n), edge_mask=np.ones((n, n)))
+
+    isolated = _rand_graph(rng, 6, edge_dim)
+    isolated.adjacency[3, :] = isolated.adjacency[:, 3] = 0
+    isolated.edge_features[3, :] = isolated.edge_features[:, 3] = 0.0
+    graphs = [_rand_graph(rng, 5, edge_dim, master=True),
+              _rand_graph(rng, 4, edge_dim),
+              lone(1),                     # one stroke, no master: E = 0
+              isolated,                    # stroke 3 has no edge
+              augment_global(isolated),
+              augment_global(lone(0))]     # the master alone
+    for nodes in range(2, 18):
+        master = nodes % 2 == 0 and nodes > 2
+        graphs.append(_rand_graph(rng, nodes - master, edge_dim, master=master))
+    return graphs
+
+
+def test_batch_forward_equals_standalone_forwards():
+    rng = np.random.default_rng(15)
+    graphs = _mixed_batch(rng, edge_dim=7)
+    assert graphs[2].num_nodes == 1 and not graphs[2].adjacency.any()
+    assert graphs[5].num_nodes == 1 and graphs[5].has_master
+    cfg = _small_config(hidden=16, layers=3)
+    for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-5)):
+        params = init_parameters(cfg, edge_dim=7, seed=0, dtype=dtype)
+        _randomize(params, np.random.default_rng(16))
+        batch = forward(graphs, params, cfg)
+        assert isinstance(batch, BatchResult) and len(batch) == len(graphs)
+        for g, graph in enumerate(graphs):
+            want = forward(graph, params, cfg)
+            got = batch.result(g)
+            assert got.support == want.support
+            pairs = [(got.node_logits, want.node_logits), (got.edge_logits, want.edge_logits)]
+            pairs += [(a, b) for x, y in zip(got.aux, want.aux) for a, b in zip(x, y)]
+            pairs = [(a.data, b.data) for a, b in pairs]
+            pairs += list(zip(got.attention, want.attention))
+            assert len(pairs) == 2 + 2 * cfg.layers + cfg.layers
+            for a, b in pairs:
+                assert a.shape == b.shape, g
+                assert np.abs(a - b).max(initial=0.0) <= tol, (dtype, g)
+        # the batch runs each layer once over the union's edges
+        assert len(batch.attention) == cfg.layers
+        assert batch.attention[0].shape == (sum(int(g.adjacency.sum()) for g in graphs),)

@@ -15,7 +15,8 @@ from inkgraph.model import ModelConfig, forward, init_parameters
 from inkgraph.synth import compose, generate_synthetic
 from inkgraph.train import (FitResult, TrainConfig, TrainError, edge_loss, fit,
                             graph_losses, history_to_csv, node_loss,
-                            parse_config_text, primitive_counts, total_loss)
+                            parse_config_text, primitive_counts, total_loss,
+                            validate)
 
 from oracles import rel_err
 
@@ -299,6 +300,42 @@ def test_graph_losses_match_manual_concatenation():
         blend = tcfg.node_weight * ln + (1 - tcfg.node_weight) * le
         want += blend if s == 0 else tcfg.aux_weight * blend
     assert rel_err(got, want) < 1e-10
+
+
+def test_batched_validation_is_the_mean_of_per_graph_losses():
+    rng = np.random.default_rng(7)
+    vocab = Vocabulary.default()
+    mcfg = ModelConfig(hidden=8, layers=2, node_classes=vocab.num_symbols,
+                       edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
+    params = init_parameters(mcfg, edge_dim=7, seed=2, dtype=np.float64)
+    items = [_random_item(rng, n, 7, vocab) for n in (3, 6, 4, 5)]
+    items[1][0].edge_mask[:] = 0.0  # every edge of this graph is masked
+    # two strokes without a local edge: the master links them, no support
+    lone = ModeledGraph(adjacency=np.zeros((2, 2), dtype=np.int8),
+                        node_features=rng.standard_normal((2, 2, 10)),
+                        edge_features=np.zeros((2, 2, 7)),
+                        node_mask=np.ones(2), edge_mask=np.ones((2, 2)))
+    from inkgraph.labels import AlignedLabels
+    items.insert(2, (augment_global(lone), AlignedLabels(
+        node_ids=np.array([3, 5]), edge_ids=np.full((2, 2), -1),
+        order_adj=np.zeros((2, 2), dtype=np.int8))))
+
+    tcfg = TrainConfig(node_weight=0.4, aux_weight=0.25, batch_size=2)
+    losses, want_counts = [], np.zeros(4, dtype=np.int64)
+    for g, al in items:
+        res = forward(g, params, mcfg)
+        masks = (g.node_mask[1:], g.edge_mask[1:, 1:])
+        losses.append(float(graph_losses([(res, al, *masks)], tcfg).data))
+        want_counts += primitive_counts(res, al, *masks)
+    assert forward(items[2][0], params, mcfg).support == []
+    assert losses[1] > 0.0  # the node loss remains
+
+    for batch_size in (1, 2, 3, 5):
+        val_loss, counts = validate(items, params, mcfg,
+                                    TrainConfig(node_weight=0.4, aux_weight=0.25,
+                                                batch_size=batch_size))
+        assert abs(val_loss - np.mean(losses)) <= 1e-12, batch_size
+        assert np.array_equal(counts, want_counts)
 
 
 def test_primitive_counts_respect_masks():
