@@ -438,8 +438,6 @@ def conv1d(x, w, stride=1, padding=0, groups=1):
 
     if groups == 1 and k == 1 and stride == 1 and padding == 0:
         kernel = _conv1d_pointwise
-    elif groups == cin == cout and stride == 1:
-        kernel = _conv1d_depthwise
     else:
         kernel = _conv1d_grouped
     out, grads = kernel(x.data, w.data, stride, padding, groups)
@@ -468,41 +466,15 @@ def _conv1d_pointwise(x, w, stride, padding, groups):
     return out, grads
 
 
-_DEPTHWISE_BLOCK = 16  # channels per einsum call in _conv1d_depthwise
-
-
-def _conv1d_depthwise(x, w, stride, padding, groups):
-    """One filter per channel (groups == channels), stride 1. The forward runs
-    the grouped path's einsum on blocks of channels, which bounds the copy
-    einsum makes of the window view; every sum is the grouped path's, bit for
-    bit. The backward is a direct loop over the taps' shifted slices."""
-    bsz, c, length = x.shape
-    k = w.shape[2]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    lout = win.shape[2]
-    out = np.empty((bsz, c, lout), dtype=np.result_type(x, w))
-    for lo in range(0, c, _DEPTHWISE_BLOCK):
-        hi = lo + _DEPTHWISE_BLOCK
-        out[:, lo:hi] = np.einsum("bgclk,gock->bgol", win[:, lo:hi, None], w[lo:hi, None],
-                                  optimize=True)[:, :, 0]
-
-    def grads(g):
-        gxp = np.zeros_like(xp)
-        gw = np.empty_like(w)
-        for kk in range(k):
-            gxp[:, :, kk:kk + lout] += g * w[:, :, kk]
-            gw[:, 0, kk] = np.einsum("bcl,bcl->c", g, xp[:, :, kk:kk + lout])
-        return gxp[:, :, padding:padding + length], gw
-
-    return out, grads
+_GROUP_BLOCK = 16  # groups per einsum call in the _conv1d_grouped forward
 
 
 def _conv1d_grouped(x, w, stride, padding, groups):
-    """Any stride, padding and grouping: one einsum over the window view.
-    The backward keeps that view of the padded input, not a contiguous copy
-    of it, which would be K times the input."""
-    bsz, cin, _ = x.shape
+    """Any stride, padding and grouping. The forward runs one einsum over the
+    window view per block of groups, which bounds the copy einsum makes of
+    that view. The backward loops over the taps' strided slices of the padded
+    input and never copies the view, which would be K times the input."""
+    bsz, cin, length = x.shape
     cout, _, k = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
     win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
@@ -510,20 +482,24 @@ def _conv1d_grouped(x, w, stride, padding, groups):
     cg, og = cin // groups, cout // groups
     wing = win.reshape(bsz, groups, cg, lout, k)
     wg = w.reshape(groups, og, cg, k)
-    out = np.einsum("bgclk,gock->bgol", wing, wg, optimize=True).reshape(bsz, cout, lout)
+    out = np.empty((bsz, groups, og, lout), dtype=np.result_type(x, w))
+    for lo in range(0, groups, _GROUP_BLOCK):
+        hi = lo + _GROUP_BLOCK
+        out[:, lo:hi] = np.einsum("bgclk,gock->bgol", wing[:, lo:hi], wg[lo:hi], optimize=True)
 
     def grads(g):
         gg = g.reshape(bsz, groups, og, lout)
-        gw = np.einsum("bgclk,bgol->gock", wing, gg, optimize=True).reshape(w.shape)
+        xg = xp.reshape(bsz, groups, cg, xp.shape[2])
         gxp = np.zeros_like(xp)
-        gxg = gxp.reshape(bsz, groups, cg, xp.shape[2])
+        gxg = gxp.reshape(xg.shape)
+        gw = np.empty_like(wg)
         for kk in range(k):
-            contrib = np.einsum("bgol,goc->bgcl", gg, wg[:, :, :, kk], optimize=True)
-            gxg[:, :, :, kk:kk + stride * lout:stride] += contrib
-        gx = gxp if padding == 0 else gxp[:, :, padding:-padding]
-        return gx, gw.astype(w.dtype, copy=False)
+            taps = slice(kk, kk + stride * lout, stride)
+            gxg[:, :, :, taps] += np.einsum("bgol,goc->bgcl", gg, wg[:, :, :, kk])
+            gw[:, :, :, kk] = np.einsum("bgol,bgcl->goc", gg, xg[:, :, :, taps])
+        return gxp[:, :, padding:padding + length], gw.reshape(w.shape)
 
-    return out, grads
+    return out.reshape(bsz, cout, lout), grads
 
 
 def avg_pool1d(x, kernel, stride):

@@ -278,13 +278,16 @@ class BatchResult:
         return len(self.supports)
 
     def result(self, g, attention=True):
-        """Graph g's ForwardResult. A batch of one hands out its own tensors,
-        so gradients flow through them; in a larger batch the logits are
-        detached row slices, for evaluation."""
+        """Graph g's ForwardResult. Its logits are the batch tensors (a batch
+        of one) or row slices of them, recorded on the tape whenever the batch
+        tensors are, so gradients flow at every batch size."""
         def rows(t, offsets):
             if len(self) == 1:
                 return t
-            return Tensor(t.data[offsets[g]:offsets[g + 1]])
+            lo, hi = offsets[g], offsets[g + 1]
+            if t.requires_grad:
+                return eg.gather_rows(t, np.arange(lo, hi))
+            return Tensor(t.data[lo:hi])
 
         def stage(nl, el):
             return rows(nl, self.node_offsets), rows(el, self.edge_offsets)

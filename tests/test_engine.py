@@ -210,32 +210,29 @@ def test_scatter_and_gather_match_add_at_on_unsorted_and_empty_indices():
         assert rel_err(t.grad, want) < 1e-15
 
 
-def test_depthwise_conv1d_matches_the_grouped_path():
-    # groups == channels at stride 1 runs the grouped einsum on blocks of
-    # channels (same sums, bit for bit) and a direct per-tap backward
+def test_conv1d_across_group_blocks_matches_naive_oracle_and_finite_differences():
+    # the forward runs one einsum per block of eg._GROUP_BLOCK groups: one
+    # channel, a partial block and more groups than one block, depthwise
+    # (groups == channels, the encoder's case) and with several channels
+    # per group at stride 2
     rng = np.random.default_rng(12)
-    for dtype in (np.float64, np.float32):
-        for channels in (1, 5, eg._DEPTHWISE_BLOCK + 4):
-            for padding in (0, 4):
-                x = rng.standard_normal((3, channels, 12)).astype(dtype)
-                w = rng.standard_normal((channels, 1, 9)).astype(dtype)
-                out, grads = eg._conv1d_depthwise(x, w, 1, padding, channels)
-                ref, ref_grads = eg._conv1d_grouped(x, w, 1, padding, channels)
-                assert out.shape == (3, channels, 12 + 2 * padding - 8)
-                assert out.dtype == dtype and np.array_equal(out, ref)
-                g = rng.standard_normal(out.shape).astype(dtype)
-                for got, want in zip(grads(g), ref_grads(g)):
-                    assert got.shape == want.shape and got.dtype == dtype
-                    assert rel_err(got, want) < (1e-12 if dtype == np.float64 else 1e-5)
-                if dtype == np.float64:
-                    want = naive_conv1d(x, w, padding=padding, groups=channels)
-                    assert rel_err(out, want) < 1e-12
-
-    x = rng.standard_normal((2, 3, 10))
-    w = rng.standard_normal((3, 1, 9))
-    r = rng.standard_normal((2, 3, 10))
-    _check(lambda t: eg.tsum(eg.mul(eg.conv1d(t["x"], t["w"], padding=4, groups=3),
-                                    Tensor(r))), {"x": x, "w": w})
+    block = eg._GROUP_BLOCK
+    cases = [(1, 1, 1, 1), (5, 5, 5, 1), (block + 4, block + 4, block + 4, 1),
+             (2 * (block + 2), block + 2, block + 2, 2)]
+    for cin, cout, groups, stride in cases:
+        for padding in (0, 4):
+            x = rng.standard_normal((3, cin, 12))
+            w = rng.standard_normal((cout, cin // groups, 9))
+            for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+                got = eg.conv1d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
+                                stride=stride, padding=padding, groups=groups)
+                want = naive_conv1d(x, w, stride=stride, padding=padding, groups=groups)
+                assert got.dtype == dtype and got.shape == want.shape
+                assert rel_err(got.data, want) < tol
+            r = rng.standard_normal(want.shape)
+            _check(lambda t: eg.tsum(eg.mul(eg.conv1d(t["x"], t["w"], stride=stride,
+                                                      padding=padding, groups=groups),
+                                            Tensor(r))), {"x": x, "w": w})
 
 
 def test_dropout_gradient_with_fixed_seed():

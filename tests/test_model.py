@@ -596,3 +596,26 @@ def test_batch_forward_equals_standalone_forwards():
         # the batch runs each layer once over the union's edges
         assert len(batch.attention) == cfg.layers
         assert batch.attention[0].shape == (sum(int(g.adjacency.sum()) for g in graphs),)
+
+
+def test_batch_result_passes_gradients_for_every_batch_size():
+    # a loss built from graph g's result trains on graph g alone, whether the
+    # batch holds one graph or several
+    rng = np.random.default_rng(17)
+    graphs = [_rand_graph(rng, 4, 5, master=True), _rand_graph(rng, 6, 5)]
+    cfg = _small_config(hidden=8, layers=2)
+    params = init_parameters(cfg, edge_dim=5, seed=0, dtype=np.float64)
+    _randomize(params, np.random.default_rng(18))
+
+    def grads(batch_graphs, g):
+        with Tape() as tape:
+            res = forward(batch_graphs, params, cfg).result(g)
+            loss = eg.add(eg.tsum(res.node_logits), eg.tsum(eg.mul(res.edge_logits,
+                                                                   res.edge_logits)))
+            return backward(tape, loss, params)
+
+    want = grads([graphs[1]], 0)
+    got = grads(graphs, 1)
+    assert any(np.any(v != 0.0) for v in want.values())
+    for name in params:
+        assert np.abs(got[name] - want[name]).max(initial=0.0) <= 1e-10, name
