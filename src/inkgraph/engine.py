@@ -61,9 +61,6 @@ class Tensor:
     def numpy(self):
         return self.data
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -88,10 +85,6 @@ class Tape:
 
     def __len__(self):
         return len(self._nodes)
-
-
-def active_tape():
-    return _ACTIVE_TAPE
 
 
 def _as_tensor(x, like_dtype=None):

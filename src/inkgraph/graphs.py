@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ink import InkError, ResampledStroke, normalize_expression, resample_stroke
+from .ink import ResampledStroke, normalize_expression, resample_stroke
 
 
 class GraphError(Exception):
@@ -283,16 +283,11 @@ def directional_features(src, dst, d_e):
 # graph assembly
 
 
-def preprocess_expression(expression, config):
-    """Normalize then resample every stroke; returns list[ResampledStroke]."""
-    normed = normalize_expression(expression)
-    return [resample_stroke(s, config.d_n) for s in normed.strokes]
-
-
 def build_local_graph(expression, config):
-    """Full pipeline for one expression: preprocess, visibility + temporal
-    adjacency (or FC), directional edge features on the support."""
-    strokes = preprocess_expression(expression, config)
+    """Full pipeline for one expression: normalize and resample every stroke,
+    visibility + temporal adjacency (or FC), directional edge features on the
+    support."""
+    strokes = [resample_stroke(s, config.d_n) for s in normalize_expression(expression).strokes]
     n = len(strokes)
     if config.full_connect:
         adj = np.ones((n, n), dtype=np.int8)

@@ -52,6 +52,10 @@ class Vocabulary:
             raise LabelError("vocabulary: duplicate symbol labels")
         if list(self.symbols) != sorted(self.symbols):
             raise LabelError("vocabulary: symbol labels must be sorted")
+        # label graphs and chunk masking hard-code these classes and their ids
+        if self.relations != POSITIONAL_RELATIONS:
+            raise LabelError(f"vocabulary: relations must be {list(POSITIONAL_RELATIONS)}, "
+                             f"got {list(self.relations)}")
 
     @classmethod
     def default(cls):

@@ -243,15 +243,6 @@ class ForwardResult:
     aux: list = field(default_factory=list)
     attention: list = field(default_factory=list)
 
-    def dense_edge_logits(self):
-        """(num_strokes, num_strokes, C2) array; 0.0 off the support."""
-        n = self.node_logits.shape[0]
-        c2 = self.edge_logits.shape[1]
-        out = np.zeros((n, n, c2), dtype=self.edge_logits.dtype)
-        for k, (i, j) in enumerate(self.support):
-            out[i, j] = self.edge_logits.data[k]
-        return out
-
 
 @dataclass
 class BatchResult:

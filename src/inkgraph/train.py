@@ -18,7 +18,7 @@ from . import engine as eg
 from .engine import Adam, PlateauScheduler, Tape, Tensor, backward
 from .graphs import GraphConfig
 from .metrics import _support_index, primitive_counts
-from .model import BatchResult, ModelConfig, forward, init_parameters
+from .model import ModelConfig, forward, init_parameters
 
 
 class TrainError(Exception):
@@ -77,18 +77,6 @@ def _onehot(labels, num_classes):
     return out
 
 
-def node_loss(logits, labels, mask):
-    """Mean cross-entropy over mask == 1 nodes; exactly zero when all are masked."""
-    mask = np.asarray(mask, dtype=np.float64)
-    return _weighted_loss(logits, labels, mask, float(mask.sum()))
-
-
-def edge_loss(logits, labels, mask, gamma=1.5):
-    """Mean focal loss -(1 - p_t)^gamma * log p_t over mask == 1 support slots."""
-    mask = np.asarray(mask, dtype=np.float64)
-    return _weighted_loss(logits, labels, mask, float(mask.sum()), gamma)
-
-
 def _weighted_loss(logits, labels, weight, denom, gamma=None):
     """-sum_k weight_k * log p_k / denom over rows, with the focal factor
     (1 - p_k)^gamma when gamma is given; exactly zero without any weight."""
@@ -129,19 +117,17 @@ def _edge_targets(aligned, support, edge_mask):
     return aligned.edge_ids[rows, cols], edge_mask[rows, cols].astype(np.float64)
 
 
-def graph_losses(results_and_targets, config, per_graph=False):
-    """Total loss Tensor of a batch.
+def graph_losses(batch, targets, config, per_graph=False):
+    """Total loss Tensor of one forward over a batch of graphs.
 
-    Takes [(result, AlignedLabels, node_mask, edge_mask), ...], one item per
-    graph. Each result is its graph's ForwardResult, or every item holds the
-    BatchResult of one forward over the items' graphs in item order. The
-    means run over every unmasked primitive of the batch at once; with
-    per_graph, each graph's primitives are averaged on their own and the
-    loss is the sum of the graphs' losses.
+    batch is the forward's BatchResult; targets holds (AlignedLabels,
+    node_mask, edge_mask) per graph, in batch order. The means run over every
+    unmasked primitive of the batch at once; with per_graph, each graph's
+    primitives are averaged on their own and the loss is the sum of the
+    graphs' losses.
     """
-    stages, supports = _stages([item[0] for item in results_and_targets])
     node_labels, node_weights, edge_labels, edge_weights = [], [], [], []
-    for support, (_, aligned, nmask, emask) in zip(supports, results_and_targets):
+    for support, (aligned, nmask, emask) in zip(batch.supports, targets, strict=True):
         labels, mask = _edge_targets(aligned, support, emask)
         node_labels.append(aligned.node_ids)
         edge_labels.append(labels)
@@ -159,6 +145,7 @@ def graph_losses(results_and_targets, config, per_graph=False):
         return (_weighted_loss(n_logits, nl_cat, nw_cat, n_denom),
                 _weighted_loss(e_logits, el_cat, ew_cat, e_denom, config.focal_gamma))
 
+    stages = [(batch.node_logits, batch.edge_logits)] + batch.aux
     (final_n, final_e), *aux = [stage_losses(nl, el) for nl, el in stages]
     return total_loss(final_n, final_e, aux,
                       node_weight=config.node_weight, aux_weight=config.aux_weight)
@@ -169,22 +156,6 @@ def _per_graph(mask):
     mask = np.asarray(mask, dtype=np.float64)
     denom = float(mask.sum())
     return mask / denom if denom else np.zeros_like(mask)
-
-
-def _stages(results):
-    """([(node_logits, edge_logits) per stage, final first], per-graph supports)
-    of a BatchResult, or of ForwardResults concatenated per stage."""
-    if isinstance(results[0], BatchResult):
-        batch = results[0]
-        return [(batch.node_logits, batch.edge_logits)] + batch.aux, batch.supports
-
-    def cat(tensors):
-        return tensors[0] if len(tensors) == 1 else eg.concat(tensors, axis=0)
-
-    parts = [[(r.node_logits, r.edge_logits)] + r.aux for r in results]
-    stages = [(cat([p[s][0] for p in parts]), cat([p[s][1] for p in parts]))
-              for s in range(len(parts[0]))]
-    return stages, [r.support for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +201,7 @@ def fit(train_items, val_items, model_config, train_config, edge_dim, progress=N
             with Tape() as tape:
                 res = forward([g for g, _ in items], params, model_config, train=True,
                               rng=drop_rng)
-                loss = graph_losses([(res, aligned, *_local_masks(g)) for g, aligned in items],
+                loss = graph_losses(res, [(aligned, *_local_masks(g)) for g, aligned in items],
                                     train_config)
                 grads = backward(tape, loss, params)
             opt.step(grads)
@@ -264,9 +235,9 @@ def validate(items, params, model_config, train_config):
     for lo in range(0, len(items), train_config.batch_size):
         batch = items[lo:lo + train_config.batch_size]
         res = forward([g for g, _ in batch], params, model_config, train=False)
-        targets = [(res, aligned, *_local_masks(g)) for g, aligned in batch]
-        loss_sum += float(graph_losses(targets, train_config, per_graph=True).data)
-        for k, (_, aligned, nmask, emask) in enumerate(targets):
+        targets = [(aligned, *_local_masks(g)) for g, aligned in batch]
+        loss_sum += float(graph_losses(res, targets, train_config, per_graph=True).data)
+        for k, (aligned, nmask, emask) in enumerate(targets):
             counts += primitive_counts(res.result(k, attention=False), aligned, nmask, emask)
     return loss_sum / len(items), counts
 

@@ -56,6 +56,17 @@ def naive_conv1d(x, w, stride=1, padding=0, groups=1):
     return out
 
 
+def dense_edge_logits(result):
+    """(num_strokes, num_strokes, C2) array of a ForwardResult's edge logits
+    at their support pairs; 0.0 off the support."""
+    n = result.node_logits.shape[0]
+    edge_logits = result.edge_logits.data
+    out = np.zeros((n, n, edge_logits.shape[1]), dtype=edge_logits.dtype)
+    for k, (i, j) in enumerate(result.support):
+        out[i, j] = edge_logits[k]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # geometry
 

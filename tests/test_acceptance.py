@@ -13,8 +13,7 @@ from inkgraph.cli import main as cli_main
 from inkgraph.engine import Tape, Tensor, backward
 from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
                              build_local_graph, directional_features,
-                             line_of_sight, preprocess_expression,
-                             split_subexpressions)
+                             line_of_sight, split_subexpressions)
 from inkgraph.ink import Stroke, resample_stroke
 from inkgraph.labels import Vocabulary, align_labels, decode_labels
 from inkgraph.metrics import expression_metrics
@@ -23,7 +22,8 @@ from inkgraph.synth import generate_synthetic
 from inkgraph.train import TrainConfig, fit, graph_losses
 
 from oracles import (brute_force_expression_metrics, brute_force_visibility,
-                     finite_diff_grad, rel_err)
+                     dense_edge_logits, finite_diff_grad, rel_err)
+from test_graphs import _resampled
 from test_metrics import _random_label_pair
 
 
@@ -285,8 +285,8 @@ def test_permutation_equivariance():
         outp = forward(gp, params, cfg)
         worst = max(worst, float(
             np.abs(outp.node_logits.data - out.node_logits.data[perm]).max()))
-        dense = out.dense_edge_logits()
-        densep = outp.dense_edge_logits()
+        dense = dense_edge_logits(out)
+        densep = dense_edge_logits(outp)
         for i, j in outp.support:
             oi, oj = perm[i], perm[j]
             if oi < oj:  # flipped pairs legitimately see direction-flipped features
@@ -325,9 +325,9 @@ def test_masking_soundness():
 
     def run(labels):
         with Tape() as tape:
-            res = forward(graph, params, mcfg)
+            res = forward([graph], params, mcfg)
             loss = graph_losses(
-                [(res, labels, graph.node_mask[1:], graph.edge_mask[1:, 1:])], tcfg)
+                res, [(labels, graph.node_mask[1:], graph.edge_mask[1:, 1:])], tcfg)
             grads = backward(tape, loss, params)
         return float(loss.data), grads
 
@@ -352,7 +352,7 @@ def test_masking_soundness():
 def test_visibility_matches_ray_oracle():
     gcfg = GraphConfig(d_n=24, d_e=3)
     pool = generate_synthetic(seed=2, count=640, max_symbols=4)
-    scenes = [preprocess_expression(expr, gcfg) for expr, _ in pool
+    scenes = [_resampled(expr, gcfg.d_n) for expr, _ in pool
               if 3 <= expr.num_strokes <= 6][:200]
     assert len(scenes) == 200
     agree = total = blocked = 0

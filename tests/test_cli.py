@@ -191,6 +191,29 @@ def test_data_errors_exit_2(workdir, capsys):
         assert err.startswith(f"error: {key} must be") and "Traceback" not in err, err
 
 
+def test_foreign_relation_list_exits_2(workdir, capsys):
+    # label graphs and chunk masking fix the relation classes and their ids, so
+    # a header naming other relations is refused instead of trained on
+    data = _synth(workdir, capsys, count=2) / "dataset.bin"
+    blob = data.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + hlen])
+    relations = header["vocabulary"]["relations"] + ["Extra"]
+    header["vocabulary"]["relations"] = relations
+    text = json.dumps(header).encode("utf-8")
+    bad = workdir / "extra.bin"
+    bad.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text + blob[16 + hlen:])
+    save_checkpoint(workdir / "extra.ckpt", {}, vocabulary=header["vocabulary"],
+                    model_config={}, graph_config={})
+    for name, argv in (("extra.bin", ["train", "--data", str(bad),
+                                      "--config", str(workdir / "run.cfg")]),
+                       ("extra.ckpt", ["eval", "--data", str(data),
+                                       "--checkpoint", str(workdir / "extra.ckpt")])):
+        code, _, err = _run(argv + ["--out", str(workdir / "out")], capsys)
+        assert code == 2, name
+        assert err.startswith("error:") and name in err and "relations" in err, err
+
+
 def test_bad_config_value_exits_2(workdir, capsys):
     bad = workdir / "bad.cfg"
     bad.write_text("[train]\nlr = banana\n", encoding="utf-8")

@@ -9,13 +9,19 @@ from inkgraph.graphs import (GraphConfig, GraphError, ModeledGraph,
                              build_local_graph, convex_hull,
                              directional_features, graph_from_json,
                              graph_to_json, hull_centroid, line_of_sight,
-                             preprocess_expression, split_subexpressions)
-from inkgraph.ink import InkExpression, ResampledStroke, Stroke, resample_stroke
+                             split_subexpressions)
+from inkgraph.ink import (InkExpression, ResampledStroke, Stroke, normalize_expression,
+                          resample_stroke)
 from inkgraph.labels import (SAME_SYMBOL, AlignedLabels, LabelGraph,
                              Vocabulary, align_labels)
 from inkgraph.synth import compose, generate_synthetic
 
 from oracles import brute_force_visibility, scalar_line_of_sight
+
+
+def _resampled(expr, d_n):
+    """The strokes build_local_graph links: normalized, then resampled to d_n."""
+    return [resample_stroke(s, d_n) for s in normalize_expression(expr).strokes]
 
 
 def test_graph_config_defaults_and_validation():
@@ -83,7 +89,7 @@ def test_line_of_sight_middle_bar_blocks_outer_bars():
 
 def test_line_of_sight_simple_sum_is_fully_visible():
     expr, _ = compose([("sym", "1"), ("sym", "+"), ("sym", "2")], "sum")
-    strokes = preprocess_expression(expr, GraphConfig(d_n=32))
+    strokes = _resampled(expr, 32)
     assert len(strokes) == 3
     vis = line_of_sight(strokes)
     want = np.ones((3, 3), dtype=np.int8) - np.eye(3, dtype=np.int8)
@@ -170,12 +176,12 @@ def test_line_of_sight_matches_scalar_oracle_exactly():
     # the acceptance gate's 200 scenes
     gcfg = GraphConfig(d_n=24, d_e=3)
     pool = generate_synthetic(seed=2, count=640, max_symbols=4)
-    scenes = [preprocess_expression(expr, gcfg) for expr, _ in pool
+    scenes = [_resampled(expr, gcfg.d_n) for expr, _ in pool
               if 3 <= expr.num_strokes <= 6][:200]
     # long expressions at the paper's d_n, where hulls reach ~90 vertices
     gcfg = GraphConfig(d_n=150)
     pool = generate_synthetic(0, 1500, 16)
-    long = [preprocess_expression(expr, gcfg) for expr, _ in pool
+    long = [_resampled(expr, gcfg.d_n) for expr, _ in pool
             if 15 <= expr.num_strokes <= 22]
     assert len(scenes) == 200 and len(long) > 50
     for k, strokes in enumerate(scenes + long):

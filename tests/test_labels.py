@@ -57,6 +57,8 @@ def test_vocabulary_construction_rules():
         Vocabulary(symbols=("b", "a"))
     with pytest.raises(LabelError, match="duplicate"):
         Vocabulary(symbols=("a", "a"))
+    with pytest.raises(LabelError, match="relations"):
+        Vocabulary.from_dict({"symbols": ["a"], "relations": [*POSITIONAL_RELATIONS, "Extra"]})
     v = Vocabulary.from_symbols(["b", "a", "b"])
     assert v.symbols == ("a", "b")
     again = Vocabulary.from_dict(v.to_dict())

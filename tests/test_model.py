@@ -14,7 +14,7 @@ from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, BatchResult,
                             edge_index, forward, init_parameters, node_embed)
 from inkgraph.synth import compose, generate_synthetic
 
-from oracles import finite_diff_grad, naive_conv1d, rel_err
+from oracles import dense_edge_logits, finite_diff_grad, naive_conv1d, rel_err
 
 
 def _small_config(**kw):
@@ -360,7 +360,7 @@ def test_forward_shapes_stages_and_dense_logits():
         assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-5)
         assert np.all(alpha[g.adjacency == 0] == 0.0)
 
-    dense = out.dense_edge_logits()
+    dense = dense_edge_logits(out)
     assert dense.shape == (6, 6, cfg.edge_classes)
     sup_mask = np.zeros((6, 6), dtype=bool)
     for i, j in out.support:
@@ -419,8 +419,8 @@ def test_forward_permutation_equivariance():
     outp = forward(gp, params, cfg)
 
     assert rel_err(outp.node_logits.data, out.node_logits.data[perm]) < 1e-10
-    dense = out.dense_edge_logits()
-    densep = outp.dense_edge_logits()
+    dense = dense_edge_logits(out)
+    densep = dense_edge_logits(outp)
     checked = 0
     for i, j in outp.support:
         oi, oj = perm[i], perm[j]

@@ -13,10 +13,9 @@ from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
 from inkgraph.labels import Vocabulary, align_labels
 from inkgraph.model import ModelConfig, forward, init_parameters
 from inkgraph.synth import compose, generate_synthetic
-from inkgraph.train import (FitResult, TrainConfig, TrainError, edge_loss, fit,
-                            graph_losses, history_to_csv, node_loss,
-                            parse_config_text, primitive_counts, total_loss,
-                            validate)
+from inkgraph.train import (FitResult, TrainConfig, TrainError, _weighted_loss, fit,
+                            graph_losses, history_to_csv, parse_config_text,
+                            primitive_counts, total_loss, validate)
 
 from oracles import rel_err
 
@@ -81,14 +80,15 @@ def test_train_config_validation():
 def test_node_loss_perfect_prediction_near_zero():
     labels = np.array([2, 0, 1])
     logits = Tensor(50.0 * np.eye(4)[labels][:, :4])
-    loss = node_loss(logits, labels, np.ones(3))
+    mask = np.ones(3)
+    loss = _weighted_loss(logits, labels, mask, mask.sum())
     assert 0.0 <= float(loss.data) <= 1e-6
 
 
 def test_node_loss_two_class_closed_form():
     a, b = 0.7, -0.4
     logits = Tensor(np.array([[a, b]]))
-    loss = node_loss(logits, np.array([0]), np.ones(1))
+    loss = _weighted_loss(logits, np.array([0]), np.ones(1), 1.0)
     want = np.log(1.0 + np.exp(b - a))
     assert rel_err(float(loss.data), want) < 1e-12
 
@@ -98,12 +98,12 @@ def test_node_loss_mean_runs_over_unmasked_only():
     logits = rng.standard_normal((3, 5))
     labels = np.array([0, 3, 4])
     mask = np.array([1.0, 1.0, 0.0])
-    loss = node_loss(Tensor(logits), labels, mask)
+    loss = _weighted_loss(Tensor(logits), labels, mask, mask.sum())
     assert rel_err(float(loss.data), _np_node_loss(logits, labels, mask)) < 1e-12
     # the masked row's logits are irrelevant
     logits2 = logits.copy()
     logits2[2] = 99.0
-    loss2 = node_loss(Tensor(logits2), labels, mask)
+    loss2 = _weighted_loss(Tensor(logits2), labels, mask, mask.sum())
     assert float(loss.data) == float(loss2.data)
 
 
@@ -112,10 +112,10 @@ def test_all_masked_loss_is_exact_zero_with_zero_grads():
     w = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     x = Tensor(rng.standard_normal((3, 4)))
     labels = np.array([1, 2, 5])
-    for fn in (lambda lg: node_loss(lg, labels, np.zeros(3)),
-               lambda lg: edge_loss(lg, labels, np.zeros(3))):
+    mask = np.zeros(3)
+    for gamma in (None, 1.5):  # cross-entropy and focal
         with Tape() as tape:
-            loss = fn(eg.matmul(x, w))
+            loss = _weighted_loss(eg.matmul(x, w), labels, mask, mask.sum(), gamma)
             grads = backward(tape, loss, {"w": w})
         assert float(loss.data) == 0.0
         assert np.all(grads["w"] == 0.0)
@@ -123,8 +123,9 @@ def test_all_masked_loss_is_exact_zero_with_zero_grads():
 
 def test_empty_logits_give_zero_loss():
     logits = Tensor(np.zeros((0, 14)))
-    assert float(node_loss(logits, np.zeros(0, dtype=int), np.zeros(0)).data) == 0.0
-    assert float(edge_loss(logits, np.zeros(0, dtype=int), np.zeros(0)).data) == 0.0
+    labels, mask = np.zeros(0, dtype=int), np.zeros(0)
+    for gamma in (None, 1.5):
+        assert float(_weighted_loss(logits, labels, mask, mask.sum(), gamma).data) == 0.0
 
 
 def test_edge_loss_gamma_zero_is_cross_entropy():
@@ -132,15 +133,15 @@ def test_edge_loss_gamma_zero_is_cross_entropy():
     logits = rng.standard_normal((6, 14))
     labels = rng.integers(0, 14, size=6)
     mask = np.array([1, 1, 0, 1, 1, 1], dtype=np.float64)
-    ce = node_loss(Tensor(logits), labels, mask)
-    fl = edge_loss(Tensor(logits), labels, mask, gamma=0.0)
+    ce = _weighted_loss(Tensor(logits), labels, mask, mask.sum())
+    fl = _weighted_loss(Tensor(logits), labels, mask, mask.sum(), 0.0)
     assert rel_err(float(fl.data), float(ce.data)) < 1e-12
 
 
 def test_edge_loss_focal_fixture():
     # p_t = 0.9, gamma = 2 -> loss = (1 - 0.9)^2 * (-log 0.9)
     logits = np.array([[np.log(9.0), 0.0]])
-    loss = edge_loss(Tensor(logits), np.array([0]), np.ones(1), gamma=2.0)
+    loss = _weighted_loss(Tensor(logits), np.array([0]), np.ones(1), 1.0, 2.0)
     p = np.exp(logits[0, 0]) / (np.exp(logits[0, 0]) + 1.0)
     want = -((1.0 - p) ** 2) * np.log(p)
     assert rel_err(float(loss.data), want) < 1e-12
@@ -154,7 +155,7 @@ def test_edge_loss_random_matches_numpy():
     mask = (rng.random(8) < 0.7).astype(np.float64)
     mask[0] = 1.0
     for gamma in (0.5, 1.5, 2.0):
-        got = float(edge_loss(Tensor(logits), labels, mask, gamma=gamma).data)
+        got = float(_weighted_loss(Tensor(logits), labels, mask, mask.sum(), gamma).data)
         assert rel_err(got, _np_edge_loss(logits, labels, mask, gamma)) < 1e-12
 
 
@@ -209,9 +210,9 @@ def test_masked_primitives_cannot_move_loss_or_grads():
 
     def run(al):
         with Tape() as tape:
-            res = forward(graph, params, mcfg)
+            res = forward([graph], params, mcfg)
             nmask, emask = graph.node_mask[1:], graph.edge_mask[1:, 1:]
-            loss = graph_losses([(res, al, nmask, emask)], tcfg)
+            loss = graph_losses(res, [(al, nmask, emask)], tcfg)
             grads = backward(tape, loss, params)
         return float(loss.data), grads
 
@@ -240,8 +241,9 @@ def test_split_masks_cannot_move_loss_or_grads():
 
     def run():
         with Tape() as tape:
-            loss = graph_losses([(forward(g, params, mcfg), al, g.node_mask[1:],
-                                  g.edge_mask[1:, 1:]) for g, al in chunks], tcfg)
+            res = forward([g for g, _ in chunks], params, mcfg)
+            loss = graph_losses(res, [(al, g.node_mask[1:], g.edge_mask[1:, 1:])
+                                      for g, al in chunks], tcfg)
             grads = backward(tape, loss, params)
         return float(loss.data), grads
 
@@ -268,6 +270,8 @@ def test_split_masks_cannot_move_loss_or_grads():
 
 
 def test_graph_losses_match_manual_concatenation():
+    # one forward over two graphs; the oracle concatenates each graph's own
+    # forward per stage and takes the masked means over the whole batch
     rng = np.random.default_rng(5)
     vocab = Vocabulary.default()
     mcfg = ModelConfig(hidden=8, layers=2, node_classes=vocab.num_symbols,
@@ -275,19 +279,22 @@ def test_graph_losses_match_manual_concatenation():
     params = init_parameters(mcfg, edge_dim=7, seed=1, dtype=np.float64)
     tcfg = TrainConfig(node_weight=0.4, aux_weight=0.25, focal_gamma=1.5)
 
-    triples = []
-    for n in (4, 6):
-        graph, aligned = _random_item(rng, n, 7, vocab)
-        res = forward(graph, params, mcfg)
-        triples.append((res, aligned, graph.node_mask[1:], graph.edge_mask[1:, 1:]))
-    got = float(graph_losses(triples, tcfg).data)
+    items = [_random_item(rng, n, 7, vocab) for n in (4, 6)]
+    items[0][0].node_mask[1 + 2] = 0.0
+    i, j = map(int, np.argwhere(np.triu(items[1][0].adjacency[1:, 1:], 1))[0])
+    items[1][0].edge_mask[1 + i, 1 + j] = 0.0
+    targets = [(aligned, g.node_mask[1:], g.edge_mask[1:, 1:]) for g, aligned in items]
+    batch = forward([g for g, _ in items], params, mcfg)
+    got = float(graph_losses(batch, targets, tcfg).data)
 
-    stages = len(triples[0][0].aux) + 1
+    results = [forward(g, params, mcfg) for g, _ in items]
+    stages = len(results[0].aux) + 1
+    assert stages == 3
     want = 0.0
     for s in range(stages):
         n_logits, e_logits = [], []
         nl, nm, el, em = [], [], [], []
-        for res, aligned, nmask, emask in triples:
+        for res, (aligned, nmask, emask) in zip(results, targets):
             n_logits.append((res.node_logits if s == 0 else res.aux[s - 1][0]).data)
             e_logits.append((res.edge_logits if s == 0 else res.aux[s - 1][1]).data)
             nl.append(aligned.node_ids)
@@ -323,10 +330,10 @@ def test_batched_validation_is_the_mean_of_per_graph_losses():
     tcfg = TrainConfig(node_weight=0.4, aux_weight=0.25, batch_size=2)
     losses, want_counts = [], np.zeros(4, dtype=np.int64)
     for g, al in items:
-        res = forward(g, params, mcfg)
+        res = forward([g], params, mcfg)
         masks = (g.node_mask[1:], g.edge_mask[1:, 1:])
-        losses.append(float(graph_losses([(res, al, *masks)], tcfg).data))
-        want_counts += primitive_counts(res, al, *masks)
+        losses.append(float(graph_losses(res, [(al, *masks)], tcfg).data))
+        want_counts += primitive_counts(res.result(0, attention=False), al, *masks)
     assert forward(items[2][0], params, mcfg).support == []
     assert losses[1] > 0.0  # the node loss remains
 
