@@ -93,9 +93,12 @@ def read_dataset(path):
         raise DatasetError(f"{path}: dataset header lacks {', '.join(missing)}")
     if header["format_version"] != 1:
         raise DatasetError(f"{path}: unsupported format version")
-    pairs = []
     try:
         vocab = Vocabulary.from_dict(header["vocabulary"])
+    except (LabelError, KeyError, TypeError, ValueError) as e:
+        raise DatasetError(f"{path}: bad vocabulary in header: {e}") from None
+    pairs = []
+    try:
         for rec in header["records"]:
             start = base + rec["offset"]
             ink_end = start + rec["ink_len"]

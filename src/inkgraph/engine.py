@@ -109,12 +109,15 @@ def _record(op, out_data, inputs, backfn):
 
 
 def _accum(t, g):
+    # The first gradient is taken, not copied, and later ones add out of place:
+    # one array may reach several tensors (add hands its g to both inputs,
+    # reshape and concat hand on views), so no gradient is ever written into.
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.asarray(g).astype(t.data.dtype, copy=False)
     else:
-        t.grad += g
+        t.grad = (t.grad + g).astype(t.data.dtype, copy=False)
 
 
 def _unbroadcast(g, shape):
@@ -333,8 +336,17 @@ def tsum(a, axis=None):
 
 def tmean(a, axis=None):
     a = _as_tensor(a)
-    out = a.data.mean(axis=axis)
     cnt = a.data.size if axis is None else a.data.shape[axis]
+    if axis is not None and 1 <= cnt <= 3:
+        # np.mean reduces a short axis slowly. Its sum starts from +0.0 and
+        # adds the entries in index order, and so does this one, bit for bit.
+        rows = np.moveaxis(a.data, axis, 0)
+        out = 0.0 + rows[0]
+        for x in rows[1:]:
+            out += x
+        out /= cnt
+    else:
+        out = a.data.mean(axis=axis)
 
     def back(g):
         if axis is None:
@@ -613,6 +625,10 @@ def backward(tape, loss, params=None):
     the op has passed that gradient on, so intermediate arrays are freed
     during the pass. Returns a dict of gradient arrays when `params`
     (name -> Tensor) is given; parameters the loss never touched get zeros.
+
+    Gradients are passed on without copies, so the returned arrays (and each
+    tensor's .grad) may share memory with each other, e.g. both inputs of an
+    `add` get the same array, or be read-only views. Treat them as read-only.
     """
     if not isinstance(tape, Tape):
         raise EngineError("backward: first argument must be a Tape")
@@ -647,6 +663,8 @@ def backward(tape, loss, params=None):
 class Adam:
     """Adam with bias correction. Zero gradient from a fresh state is a fixed point."""
 
+    BLOCK = 65536  # elements per block of a parameter's flat view in step()
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
         self.lr = float(lr)
@@ -654,25 +672,61 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
+        for name, p in self.params.items():
+            if not p.data.flags.c_contiguous:
+                raise EngineError(f"Adam: parameter {name!r} must be C-contiguous")
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._blocks = {}
+
+    def _scratch(self, dtype, slot):
+        """Scratch block `slot` (0 or 1) of BLOCK elements of `dtype`, made once."""
+        key = (np.dtype(dtype), slot)
+        if key not in self._blocks:
+            self._blocks[key] = np.empty(self.BLOCK, dtype)
+        return self._blocks[key]
 
     def step(self, grads):
+        """One update of every parameter from `grads` (name -> array; a missing
+        name counts as a zero gradient). The gradient arrays are only read.
+
+        Parameters, m and v are updated in place, BLOCK elements of their flat
+        views at a time, through two scratch blocks. Each element sees the
+        whole-array expression's operations in the same order,
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+        p -= lr*((m/b1t) / (sqrt(v/b2t) + eps)), so blocking changes no bits.
+        """
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
         for name, p in self.params.items():
             g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.data -= (self.lr * update).astype(p.data.dtype, copy=False)
+            g = np.zeros_like(p.data) if g is None else np.asarray(g)
+            if g.shape != p.data.shape:
+                raise ShapeError(f"Adam: gradient {name!r} has shape {g.shape}, "
+                                 f"parameter {p.data.shape}")
+            pf, gf = p.data.reshape(-1), g.reshape(-1)
+            mf, vf = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            # scratch 0 holds the gradient terms (in the dtype the expression
+            # gives them), then m/b1t; scratch 1 holds the denominator
+            tg = self._scratch(np.result_type(g.dtype, 1.0), 0)
+            tm, td = self._scratch(pf.dtype, 0), self._scratch(pf.dtype, 1)
+            for lo in range(0, pf.size, self.BLOCK):
+                blk = slice(lo, lo + self.BLOCK)
+                gb, mb, vb, pb = gf[blk], mf[blk], vf[blk], pf[blk]
+                t, u, d = tg[:gb.size], tm[:gb.size], td[:gb.size]
+                mb *= b1
+                mb += np.multiply(1.0 - b1, gb, out=t)
+                vb *= b2
+                vb += np.multiply(np.multiply(1.0 - b2, gb, out=t), gb, out=t)
+                np.divide(vb, b2t, out=d)
+                np.sqrt(d, out=d)
+                d += eps
+                np.divide(mb, b1t, out=u)
+                u /= d
+                u *= lr
+                pb -= u
 
 
 class PlateauScheduler:

@@ -56,6 +56,19 @@ def naive_conv1d(x, w, stride=1, padding=0, groups=1):
     return out
 
 
+def whole_array_adam_step(p, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update of arrays p, m, v in place, each as one whole-array
+    expression (the engine's update before it was blocked)."""
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    update = (m / b1t) / (np.sqrt(v / b2t) + eps)
+    p -= (lr * update).astype(p.dtype, copy=False)
+
+
 def dense_edge_logits(result):
     """(num_strokes, num_strokes, C2) array of a ForwardResult's edge logits
     at their support pairs; 0.0 off the support."""

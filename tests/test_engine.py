@@ -9,7 +9,7 @@ from inkgraph.engine import (Adam, EngineError, NonFiniteError, PlateauScheduler
                              ShapeError, Tape, Tensor, backward, load_checkpoint,
                              save_checkpoint)
 
-from oracles import finite_diff_grad, naive_conv1d, rel_err
+from oracles import finite_diff_grad, naive_conv1d, rel_err, whole_array_adam_step
 
 TOL = 1e-5
 EPS = 1e-6
@@ -120,6 +120,29 @@ def test_reductions_and_nonlinearities_match_finite_differences():
     pos = np.abs(a) + 0.5
     _check(lambda t: eg.tsum(eg.mul(eg.tlog(t["p"]), Tensor(r))), {"p": pos})
     _check(lambda t: eg.tsum(eg.mul(eg.pow_scalar(t["p"], 1.5), Tensor(r))), {"p": pos})
+
+
+def test_tmean_over_short_axes_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    for shape, axis in (((3, 4, 2), 2), ((3, 4, 3), -1), ((3, 5), 0), ((4, 2, 5), 1)):
+        a = rng.standard_normal(shape)
+        r = rng.standard_normal(np.delete(np.array(shape), axis))
+        _check(lambda t: eg.tsum(eg.mul(eg.tmean(t["a"], axis=axis), Tensor(r))), {"a": a})
+
+
+def test_tmean_over_short_axes_matches_np_mean_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for dtype in (np.float32, np.float64):
+        for shape, axis in (((41, 16, 2), 2), ((25, 16, 3), 2), ((3, 7), 0),
+                            ((5, 2, 4), 1), ((2,), 0), ((1, 3), -1)):
+            wide = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+            signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+            for x in (wide, np.full(shape, -0.0), signed_zeros, np.asfortranarray(wide)):
+                x = x.astype(dtype)
+                got = eg.tmean(Tensor(x), axis=axis).data
+                want = np.mean(x, axis=axis)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes(), (dtype, shape, axis)
 
 
 def test_conv_and_pool_match_finite_differences():
@@ -335,6 +358,67 @@ def test_backward_clears_stale_gradients_between_steps():
     assert np.array_equal(grads2["v"], np.zeros((2, 2)))
 
 
+def test_gradient_handed_to_two_inputs_is_not_accumulated_into():
+    # add hands one array to both inputs; a's second gradient must not land
+    # in the array b also holds
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    with Tape() as tape:
+        s = eg.add(a, b)
+        loss = eg.tsum(eg.add(s, a))
+        backward(tape, loss)
+    assert np.array_equal(a.grad, [2.0, 2.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+
+
+def test_concat_and_reshape_views_into_a_tensor_used_twice():
+    rng = np.random.default_rng(13)
+    a0, b0, r = (rng.standard_normal(shape) for shape in ((2, 3), (2, 3), (4, 3)))
+    # both concats get one gradient array and hand its row slices on; a and b
+    # each take a slice of it first and a slice of it second
+    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    with Tape() as tape:
+        c = eg.add(eg.concat([a, b], axis=0), eg.concat([b, a], axis=0))
+        backward(tape, eg.tsum(eg.mul(c, Tensor(r))))
+    assert np.array_equal(a.grad, r[:2] + r[2:])
+    assert np.array_equal(b.grad, r[2:] + r[:2])
+    # reshape views of one gradient reach a and b; a is also scaled, and its
+    # scaled gradient arrives after the view
+    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    with Tape() as tape:
+        z = eg.tsum(eg.scale(a, 2.0))
+        y = eg.add(eg.reshape(a, (6,)), eg.reshape(b, (6,)))
+        backward(tape, eg.add(eg.tsum(eg.mul(y, Tensor(r[:2].reshape(6)))), z))
+    assert np.array_equal(a.grad, r[:2] + 2.0)
+    assert np.array_equal(b.grad, r[:2])
+
+
+def test_backward_and_adam_never_write_into_gradient_arrays():
+    rng = np.random.default_rng(14)
+    handed = rng.standard_normal((2, 3))
+    kept = handed.copy()
+    w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    for probe_first in (True, False):
+        with Tape() as tape:
+            # an op whose backward hands `handed` to w; backward runs it
+            # before or after the op that brings w's other gradient
+            def probe():
+                return eg._record("probe", w.data.copy(), (w,),
+                                  lambda g: eg._accum(w, handed))
+            if probe_first:
+                p = probe()
+                loss = eg.tsum(eg.add(p, eg.scale(w, 3.0)))
+            else:
+                s = eg.scale(w, 3.0)
+                loss = eg.tsum(eg.add(probe(), s))
+            grads = backward(tape, loss, params={"w": w})
+        assert np.array_equal(handed, kept)
+        assert np.array_equal(grads["w"], kept + 3.0)
+    returned = {k: g.copy() for k, g in grads.items()}
+    Adam({"w": w}, lr=0.1).step(grads)
+    assert all(np.array_equal(grads[k], returned[k]) for k in returned)
+
+
 def test_single_active_tape_enforced():
     with Tape():
         with pytest.raises(EngineError, match="already active"):
@@ -367,6 +451,40 @@ def test_adam_zero_lr_leaves_parameters_unchanged():
     opt = Adam({"p": p}, lr=0.0)
     opt.step({"p": np.array([5.0])})
     assert np.array_equal(p.data, np.array([3.0]))
+
+
+def test_blocked_adam_matches_whole_array_update_bit_for_bit():
+    rng = np.random.default_rng(15)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    ragged = Adam.BLOCK * 5 // 2
+    for pdt, gdt in ((np.float32, np.float32), (np.float64, np.float64),
+                     (np.float32, np.float64)):
+        shapes = {"ragged": (ragged,), "matrix": (3, Adam.BLOCK // 2 + 7),
+                  "one": (1,), "empty": (0, 4)}
+        params = {k: Tensor(rng.standard_normal(s).astype(pdt), requires_grad=True)
+                  for k, s in shapes.items()}
+        ref = {k: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)]
+               for k, p in params.items()}
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(s).astype(gdt) for k, s in shapes.items()}
+            grads["one"] *= 1e3
+            given = {k: g.copy() for k, g in grads.items()}
+            opt.step(grads)
+            for k, (p, m, v) in ref.items():
+                whole_array_adam_step(p, m, v, grads[k], step, lr, b1, b2, eps)
+                assert grads[k].tobytes() == given[k].tobytes()
+                assert params[k].data.tobytes() == p.tobytes(), (pdt, gdt, k, step)
+                assert opt.m[k].tobytes() == m.tobytes()
+                assert opt.v[k].tobytes() == v.tobytes()
+
+
+def test_adam_rejects_non_contiguous_parameters_and_misshapen_gradients():
+    with pytest.raises(EngineError, match="contiguous"):
+        Adam({"w": Tensor(np.ones((3, 4)).T, requires_grad=True)}, lr=0.1)
+    opt = Adam({"w": Tensor(np.ones((3, 4)), requires_grad=True)}, lr=0.1)
+    with pytest.raises(ShapeError, match="'w'"):
+        opt.step({"w": np.ones(4)})
 
 
 def test_plateau_scheduler_rules():
