@@ -98,8 +98,12 @@ def _check_finite(op, arr):
         raise NonFiniteError(f"{op}: produced non-finite values")
 
 
-def _record(op, out_data, inputs, backfn):
-    _check_finite(op, out_data)
+def _record(op, out_data, inputs, backfn, check=True):
+    # check=False for ops that only copy elements: they can pass on a
+    # non-finite value only from an input, and the first op that computes on
+    # it raises
+    if check:
+        _check_finite(op, out_data)
     out = Tensor(out_data)
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -230,7 +234,7 @@ def reshape(a, shape):
     def back(g):
         _accum(a, g.reshape(a.data.shape))
 
-    return _record("reshape", out, (a,), back)
+    return _record("reshape", out, (a,), back, check=False)
 
 
 def transpose(a, axes):
@@ -269,7 +273,7 @@ def concat(tensors, axis):
             idx[axis] = slice(lo, hi)
             _accum(t, g[tuple(idx)])
 
-    return _record("concat", out, tuple(tensors), back)
+    return _record("concat", out, tuple(tensors), back, check=False)
 
 
 def gather_rows(a, indices):
@@ -282,7 +286,7 @@ def gather_rows(a, indices):
     def back(g):
         _accum(a, _segment_sum(g, idx, a.data.shape[0]))
 
-    return _record("gather_rows", out, (a,), back)
+    return _record("gather_rows", out, (a,), back, check=False)
 
 
 def scatter_rows(a, indices, num_rows):

@@ -110,26 +110,25 @@ def convex_hull(points):
     if pts.shape[0] == 1:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    # Python floats are IEEE doubles: the chain does the same arithmetic as on
+    # NumPy scalars, several times faster
+    pts = pts[order].tolist()
+    return np.array(_half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1])
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
+def _half_hull(pts):
+    """One monotone chain over sorted pts, popping non-left turns; the two
+    ends are the first and last point, so collinear input keeps both."""
+    chain = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] == 0:
-        # all points collinear: keep the two extremes
-        hull = np.array([pts[0], pts[-1]])
-    return hull
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def _polygon_area_centroid(hull):
@@ -266,17 +265,29 @@ def directional_features(src, dst, d_e):
     if not isinstance(src, ResampledStroke) or not isinstance(dst, ResampledStroke):
         raise GraphError("directional_features expects resampled strokes")
     d_e = int(d_e)
-    origin = src.centroid()
-    idx = np.rint(np.linspace(0, dst.num_samples - 1, d_e)).astype(int)
-    pts = dst.coords.T[idx]
-    vec = pts - origin
-    dist = np.hypot(vec[:, 0], vec[:, 1])
+    return _edge_features(src.centroid()[None], _target_samples(dst, d_e)[None], [0], [0])[0]
+
+
+def _target_samples(stroke, d_e):
+    """The d_e samples, evenly spaced by index, that edge features look at: (d_e, 2)."""
+    idx = np.rint(np.linspace(0, stroke.num_samples - 1, d_e)).astype(int)
+    return stroke.coords.T[idx]
+
+
+def _edge_features(origins, samples, src, dst):
+    """directional_features for E pairs at once: origins (n, 2) stroke
+    centroids, samples (n, d_e, 2) target samples, src/dst (E,) indices.
+    Returns (E, 5 * d_e) float32. Each product with a direction is exact (its
+    entries are 0 and +-1), so the batch rounds as the one-pair call does."""
+    vec = samples[dst] - origins[src][:, None, :]
+    dist = np.hypot(vec[..., 0], vec[..., 1])
     safe = np.where(dist > 0, dist, 1.0)
-    cosang = (vec @ _DIRECTIONS.T) / safe[:, None]
+    cosang = (vec @ _DIRECTIONS.T) / safe[..., None]
     cosang = np.clip(cosang, -1.0, 1.0)
     theta = np.maximum(0.0, 1.0 - (2.0 / np.pi) * np.arccos(cosang))
     theta[dist == 0] = 0.0
-    return np.concatenate([theta.T.reshape(-1), dist]).astype(np.float32)
+    theta = theta.transpose(0, 2, 1).reshape(len(vec), 4 * vec.shape[1])
+    return np.concatenate([theta, dist], axis=1).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +307,10 @@ def build_local_graph(expression, config):
         adj = add_temporal_edges(line_of_sight(strokes))
     node_features = np.stack([s.coords for s in strokes]).astype(np.float32)
     edge_features = np.zeros((n, n, config.edge_dim), dtype=np.float32)
-    for i in range(n):
-        for j in range(n):
-            if i != j and adj[i, j]:
-                edge_features[i, j] = directional_features(strokes[i], strokes[j], config.d_e)
+    src, dst = np.nonzero(adj)
+    origins = np.array([s.centroid() for s in strokes])
+    samples = np.stack([_target_samples(s, config.d_e) for s in strokes])
+    edge_features[src, dst] = _edge_features(origins, samples, src, dst)
     return ModeledGraph(
         adjacency=adj,
         node_features=node_features,

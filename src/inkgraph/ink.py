@@ -198,20 +198,18 @@ def parse_lg(text) -> LabelGraph:
 # resampling
 
 
-def _arc_positions(pts):
-    seg = np.hypot(*np.diff(pts, axis=0).T)
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def _resample_once(pts, d):
-    cum = _arc_positions(pts)
+def _resample_once(x, y, seg, ramp, cum):
+    """One equal-arc pass over the polyline (x, y) with chord lengths seg;
+    cum, zero at [0], receives its arc positions. Returns len(ramp) samples."""
+    np.cumsum(seg, out=cum[1:])
     total = cum[-1]
     if total <= 0:
-        return np.repeat(pts[:1], d, axis=0)
-    target = np.linspace(0.0, total, d)
-    x = np.interp(target, cum, pts[:, 0])
-    y = np.interp(target, cum, pts[:, 1])
-    return np.stack([x, y], axis=1)
+        return np.full_like(ramp, x[0]), np.full_like(ramp, y[0])
+    # np.linspace(0.0, total, d) by its own formula, denormal step included
+    step = total / (ramp.shape[0] - 1)
+    target = ramp * step if step else ramp / (ramp.shape[0] - 1) * total
+    target[-1] = total
+    return np.interp(target, cum, x), np.interp(target, cum, y)
 
 
 def resample_stroke(stroke, d) -> ResampledStroke:
@@ -234,16 +232,22 @@ def resample_stroke(stroke, d) -> ResampledStroke:
         pts = stroke.coords.T
     else:
         pts = np.asarray(stroke, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise InkError(f"resample: raw points must be (m, 2), got {pts.shape}")
-    out = _resample_once(pts, d)
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+            raise InkError(f"resample: raw points must be (m, 2) with m >= 1, got {pts.shape}")
+    ramp = np.arange(d, dtype=np.float64)
+    x, y = pts[:, 0], pts[:, 1]
+    seg = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
+    x, y = _resample_once(x, y, seg, ramp, np.zeros(x.shape[0]))
+    cum = np.zeros(d)
     for _ in range(512):
-        seg = np.hypot(*np.diff(out, axis=0).T)
+        # the chords checked here are the next pass's arc steps
+        seg = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
         m = seg.mean()
         if m <= 0 or (seg.max() - seg.min()) <= 1e-9 * m:
             break
-        out = _resample_once(out, d)
-    return ResampledStroke(coords=out.T)
+        x, y = _resample_once(x, y, seg, ramp, cum)
+    # a transposed (d, 2) array, as before: centroid()'s mean depends on layout
+    return ResampledStroke(coords=np.stack([x, y], axis=1).T)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,8 @@ def fit(train_items, val_items, model_config, train_config, edge_dim, progress=N
     history = []
     best_val = np.inf
     best_epoch = -1
+    # one buffer per parameter, refilled on each improving epoch; Adam updates
+    # params in place, so these stay distinct arrays
     best_params = {k: p.data.copy() for k, p in params.items()}
 
     for epoch in range(train_config.max_epochs):
@@ -220,7 +222,8 @@ def fit(train_items, val_items, model_config, train_config, edge_dim, progress=N
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = {k: p.data.copy() for k, p in params.items()}
+            for k, p in params.items():
+                np.copyto(best_params[k], p.data)
         sched.update(val_loss)
 
     return FitResult(params=params, best_params=best_params, history=history,

@@ -389,6 +389,93 @@ def scalar_line_of_sight(strokes):
 
 
 # ---------------------------------------------------------------------------
+# graph building, one stroke, hull and pair at a time: exact oracles for the
+# vectorized forms in inkgraph.ink and inkgraph.graphs
+
+
+def _arc_resample_once(pts, d):
+    seg = np.hypot(*np.diff(pts, axis=0).T)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = cum[-1]
+    if total <= 0:
+        return np.repeat(pts[:1], d, axis=0)
+    target = np.linspace(0.0, total, d)
+    x = np.interp(target, cum, pts[:, 0])
+    y = np.interp(target, cum, pts[:, 1])
+    return np.stack([x, y], axis=1)
+
+
+def loop_resample_stroke(points, d):
+    """Equal-chord resampling of raw (m, 2) points to (2, d) coords: each pass
+    recomputes arc positions from the points and targets with np.linspace,
+    until the chord spread is at most 1e-9 of the mean or 512 passes."""
+    out = _arc_resample_once(np.asarray(points, dtype=np.float64), d)
+    for _ in range(512):
+        seg = np.hypot(*np.diff(out, axis=0).T)
+        m = seg.mean()
+        if m <= 0 or (seg.max() - seg.min()) <= 1e-9 * m:
+            break
+        out = _arc_resample_once(out, d)
+    return out.T
+
+
+def numpy_scalar_convex_hull(points):
+    """Andrew monotone chain over NumPy float64 rows; CCW vertices, 1 or 2
+    for degenerate inputs."""
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    if pts.shape[0] == 1:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = np.array(lower[:-1] + upper[:-1])
+    if hull.shape[0] == 0:
+        hull = np.array([pts[0], pts[-1]])
+    return hull
+
+
+_DIRECTIONS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def pair_directional_features(src, dst, d_e):
+    """Edge features of one ordered pair of resampled strokes, as float32:
+    [right.., left.., up.., down.., distances..] over d_e target samples."""
+    origin = src.centroid()
+    idx = np.rint(np.linspace(0, dst.num_samples - 1, d_e)).astype(int)
+    vec = dst.coords.T[idx] - origin
+    dist = np.hypot(vec[:, 0], vec[:, 1])
+    safe = np.where(dist > 0, dist, 1.0)
+    cosang = np.clip((vec @ _DIRECTIONS.T) / safe[:, None], -1.0, 1.0)
+    theta = np.maximum(0.0, 1.0 - (2.0 / np.pi) * np.arccos(cosang))
+    theta[dist == 0] = 0.0
+    return np.concatenate([theta.T.reshape(-1), dist]).astype(np.float32)
+
+
+def looped_edge_features(strokes, adjacency, d_e):
+    """(n, n, 5 * d_e) edge features, one pair_directional_features call per
+    support pair; zero elsewhere."""
+    n = len(strokes)
+    out = np.zeros((n, n, 5 * d_e), dtype=np.float32)
+    for i in range(n):
+        for j in range(n):
+            if i != j and adjacency[i, j]:
+                out[i, j] = pair_directional_features(strokes[i], strokes[j], d_e)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # expression-level metric oracle
 
 

@@ -330,6 +330,17 @@ def test_non_finite_forward_raises():
             eg.texp(Tensor(np.array([1000.0])))
 
 
+def test_nan_in_a_leaf_raises_at_the_first_op_that_computes_on_it():
+    leaf = Tensor(np.array([[1.0, np.nan], [2.0, 3.0]]), requires_grad=True)
+    # copying ops pass the value on unchecked
+    moved = eg.reshape(eg.concat([eg.gather_rows(leaf, [1, 0]), leaf], axis=0), (2, 4))
+    assert np.isnan(moved.data).sum() == 2
+    with pytest.raises(NonFiniteError, match="^matmul:"):
+        eg.matmul(moved, Tensor(np.ones((4, 1))))
+    with pytest.raises(NonFiniteError, match="^add:"):
+        eg.add(eg.gather_rows(leaf, [0]), Tensor(np.ones((1, 2))))
+
+
 def test_backward_basics():
     w = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
     unused = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -1,10 +1,15 @@
 """Stroke-graph construction tests: hulls, visibility, directional edge
 features, master-node augmentation, chunking, and JSON serialization."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
+from inkgraph import graphs as graphs_module
 from inkgraph.graphs import (GraphConfig, GraphError, ModeledGraph,
+                             _edge_features, _target_samples,
                              add_temporal_edges, augment_global,
                              build_local_graph, convex_hull,
                              directional_features, graph_from_json,
@@ -16,12 +21,30 @@ from inkgraph.labels import (SAME_SYMBOL, AlignedLabels, LabelGraph,
                              Vocabulary, align_labels)
 from inkgraph.synth import compose, generate_synthetic
 
-from oracles import brute_force_visibility, scalar_line_of_sight
+from oracles import (brute_force_visibility, loop_resample_stroke, looped_edge_features,
+                     numpy_scalar_convex_hull, pair_directional_features,
+                     scalar_line_of_sight)
 
 
 def _resampled(expr, d_n):
     """The strokes build_local_graph links: normalized, then resampled to d_n."""
     return [resample_stroke(s, d_n) for s in normalize_expression(expr).strokes]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_scene_exprs():
+    """The visibility-oracle gate's 200 scenes (3-6 strokes) and the 15-22
+    stroke expressions the exactness tests also run at the paper's d_n."""
+    pool = generate_synthetic(seed=2, count=640, max_symbols=4)
+    scenes = [expr for expr, _ in pool if 3 <= expr.num_strokes <= 6][:200]
+    pool = generate_synthetic(0, 1500, 16)
+    long = [expr for expr, _ in pool if 15 <= expr.num_strokes <= 22]
+    assert len(scenes) == 200 and len(long) > 50
+    return scenes, long
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_graph_config_defaults_and_validation():
@@ -173,19 +196,96 @@ def test_line_of_sight_matches_scalar_oracle_exactly():
         for (i, j), v in want.items():
             assert vis[i, j] == vis[j, i] == v, (name, i, j)
 
-    # the acceptance gate's 200 scenes
-    gcfg = GraphConfig(d_n=24, d_e=3)
-    pool = generate_synthetic(seed=2, count=640, max_symbols=4)
-    scenes = [_resampled(expr, gcfg.d_n) for expr, _ in pool
-              if 3 <= expr.num_strokes <= 6][:200]
-    # long expressions at the paper's d_n, where hulls reach ~90 vertices
-    gcfg = GraphConfig(d_n=150)
-    pool = generate_synthetic(0, 1500, 16)
-    long = [_resampled(expr, gcfg.d_n) for expr, _ in pool
-            if 15 <= expr.num_strokes <= 22]
-    assert len(scenes) == 200 and len(long) > 50
-    for k, strokes in enumerate(scenes + long):
+    # the acceptance gate's 200 scenes at its d_n, and long expressions at the
+    # paper's d_n, where hulls reach ~90 vertices
+    scenes, long = _oracle_scene_exprs()
+    scenes = [_resampled(expr, 24) for expr in scenes] + [_resampled(expr, 150) for expr in long]
+    for k, strokes in enumerate(scenes):
         assert np.array_equal(line_of_sight(strokes), scalar_line_of_sight(strokes)), k
+
+
+def test_resample_and_convex_hull_match_their_oracles_bit_for_bit():
+    scenes, long = _oracle_scene_exprs()
+    cases = [(expr, d) for expr in scenes for d in (12, 24, 32, 150)]
+    cases += [(expr, 150) for expr in long]
+    for k, (expr, d) in enumerate(cases):
+        for s in normalize_expression(expr).strokes:
+            coords = resample_stroke(s, d).coords
+            assert _same_bits(coords, loop_resample_stroke(s.points, d)), (k, d, s.index)
+            hull = convex_hull(coords.T)
+            assert _same_bits(hull, numpy_scalar_convex_hull(coords.T)), (k, d, s.index)
+
+
+def test_convex_hull_matches_numpy_scalar_oracle_on_hand_built_points():
+    rng = np.random.default_rng(6)
+    line = np.linspace(0.0, 1.0, 40)
+    cases = {
+        "dot": [[0.5, 0.5]],
+        "repeated dot": [[1.0, 2.0]] * 3,
+        "two points": [[0.0, 0.0], [1.0, 2.0]],
+        "repeated points": [[0, 0], [1, 0], [1, 0], [0, 1], [0, 0], [1, 1], [0, 1]],
+        "collinear": np.stack([line, 2.0 * line], axis=1),
+        "collinear, shuffled with repeats": rng.permutation(
+            np.concatenate([np.stack([line, -line], axis=1)] * 2)),
+        "negative zeros": [[-0.0, 0.0], [0.0, -0.0], [1.0, -0.0], [-0.0, 1.0], [0.5, 0.5]],
+        "integer grid": np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), -1).reshape(-1, 2),
+        # resampled straight strokes: long runs collinear to within rounding
+        "resampled diagonal": _rs([[0.0, 0.0], [1.0, 0.3]], d=150).coords.T,
+        "resampled corner": _rs([[0.0, 0.0], [1.0, 0.3], [1.2, 2.0]], d=150).coords.T,
+    }
+    cases.update({f"random ints {k}": rng.integers(0, 4, size=(30, 2)).astype(float)
+                  for k in range(20)})
+    for name, pts in cases.items():
+        assert _same_bits(convex_hull(pts), numpy_scalar_convex_hull(pts)), name
+
+
+def _mixed_count_strokes(expr):
+    """An expression's strokes resampled to varying sample counts."""
+    counts = itertools.cycle((2, 7, 24, 150))
+    return [resample_stroke(s, next(counts)) for s in normalize_expression(expr).strokes]
+
+
+def test_edge_features_match_per_pair_oracle_bit_for_bit():
+    scenes, _ = _oracle_scene_exprs()
+    stroke_sets = [_mixed_count_strokes(expr) for expr in scenes]
+    # a target sitting on the source centroid (zero distances), -0.0 coordinates
+    stroke_sets.append([_rs([[-1.0, 0.0], [1.0, 0.0]], d=2),
+                        ResampledStroke(coords=np.zeros((2, 3))),
+                        ResampledStroke(coords=np.array([[-0.0, -0.0, 1.0], [0.0, -0.0, 2.0]]))])
+    for k, strokes in enumerate(stroke_sets):
+        n = len(strokes)
+        src, dst = np.nonzero(1 - np.eye(n, dtype=np.int8))
+        origins = np.array([s.centroid() for s in strokes])
+        for d_e in (1, 3, 10):
+            want = np.stack([pair_directional_features(strokes[i], strokes[j], d_e)
+                             for i, j in zip(src, dst)])
+            samples = np.stack([_target_samples(s, d_e) for s in strokes])
+            assert _same_bits(_edge_features(origins, samples, src, dst), want), (k, d_e)
+            for i, j, row in zip(src, dst, want):
+                assert _same_bits(directional_features(strokes[i], strokes[j], d_e), row), (k, i, j)
+
+
+@pytest.mark.parametrize("config", [dict(d_n=150), dict(d_n=32), dict(d_n=12),
+                                    dict(d_n=32, d_e=3, full_connect=True)],
+                         ids=["d_n150", "d_n32", "d_n12", "d_n32-fc"])
+def test_build_local_graph_matches_oracle_graph_bit_for_bit(config, monkeypatch):
+    cfg = GraphConfig(**config)
+    scenes, long = _oracle_scene_exprs()
+    exprs = scenes + (long if cfg.d_n == 150 else [])
+    built = [build_local_graph(expr, cfg) for expr in exprs]
+    # the oracle graph: loop resampling, NumPy-scalar hulls (line_of_sight looks
+    # convex_hull up in its module) and one feature call per support pair
+    monkeypatch.setattr(graphs_module, "convex_hull", numpy_scalar_convex_hull)
+    for k, (expr, g) in enumerate(zip(exprs, built)):
+        strokes = [ResampledStroke(coords=loop_resample_stroke(s.points, cfg.d_n))
+                   for s in normalize_expression(expr).strokes]
+        if cfg.full_connect:
+            adj = np.ones_like(g.adjacency) - np.eye(len(strokes), dtype=np.int8)
+        else:
+            adj = add_temporal_edges(line_of_sight(strokes))
+        assert _same_bits(g.adjacency, adj), k
+        assert _same_bits(g.node_features, np.stack([s.coords for s in strokes]).astype(np.float32)), k
+        assert _same_bits(g.edge_features, looped_edge_features(strokes, adj, cfg.d_e)), k
 
 
 def test_add_temporal_edges_links_consecutive_strokes_idempotently():

@@ -11,6 +11,8 @@ from inkgraph.ink import (InkError, InkExpression, ResampledStroke, Stroke,
                           resample_stroke)
 from inkgraph.labels import serialize_lg
 
+from oracles import loop_resample_stroke
+
 INKML = """<ink xmlns="http://www.w3.org/2003/InkML">
   <annotation type="UI">2013_expr_042</annotation>
   <annotation type="truth">$1+2$</annotation>
@@ -163,6 +165,28 @@ def test_resample_quarter_circle_matches_equal_arc_oracle():
     want_theta = np.linspace(0.0, np.pi / 2, 9)
     want = np.stack([2.0 * np.cos(want_theta), 2.0 * np.sin(want_theta)])
     assert np.max(np.abs(rs.coords - want)) < 1e-4
+
+
+def test_resample_matches_loop_oracle_on_hand_built_strokes():
+    line = np.linspace(0.0, 3.0, 7)
+    cases = {
+        "dot": [[0.5, -0.25]],
+        "repeated dot": [[1.0, 2.0]] * 4,
+        "two points": [[0.0, 0.0], [1.0, 2.0]],
+        "repeated points": [[0, 0], [1, 0], [1, 0], [1, 0], [2, 1], [2, 1]],
+        "collinear": np.stack([line, 0.5 * line], axis=1),
+        "negative zeros": [[-0.0, 0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, 2.0]],
+        "denormal length": [[0.0, 0.0], [5e-324, 0.0]],
+        "back and forth": [[0, 0], [2, 0], [1, 0], [3, 1], [0, 0]],
+    }
+    for name, pts in cases.items():
+        pts = np.asarray(pts, dtype=np.float64)
+        for d in (2, 3, 12, 150):
+            got = resample_stroke(Stroke(pts), d).coords
+            want = loop_resample_stroke(pts, d)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, d)
+            again = resample_stroke(ResampledStroke(coords=got), d).coords
+            assert again.tobytes() == loop_resample_stroke(got.T, d).tobytes(), (name, d)
 
 
 def test_resample_rejects_tiny_sample_count():

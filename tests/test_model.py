@@ -369,6 +369,21 @@ def test_forward_shapes_stages_and_dense_logits():
     assert np.all(dense[~sup_mask] == 0.0)
 
 
+def test_nan_in_a_node_feature_or_parameter_raises_where_it_is_first_computed_on():
+    rng = np.random.default_rng(10)
+    cfg = _small_config()
+    params = init_parameters(cfg, edge_dim=7, seed=0)
+    g = _rand_graph(rng, 5, edge_dim=7, master=True)
+    g.node_features[2, 1, 3] = np.nan
+    with pytest.raises(eg.NonFiniteError, match="^conv1d:"):
+        forward(g, params, cfg)
+    g = _rand_graph(rng, 5, edge_dim=7, master=True)
+    forward(g, params, cfg)
+    params["layer1.att"].data[0, 0] = np.nan  # gathered and concatenated rows meet it in matmul
+    with pytest.raises(eg.NonFiniteError, match="^matmul:"):
+        forward(g, params, cfg)
+
+
 def test_forward_on_synthetic_scenes_rows_sum_to_one():
     cfg = _small_config()
     params = init_parameters(cfg, edge_dim=15, seed=1)

@@ -407,6 +407,28 @@ def test_fit_runs_and_reports_history():
     assert set(result.best_params) == set(result.params)
 
 
+def test_fit_best_params_are_a_separate_snapshot_of_the_best_epoch():
+    items, vocab, gcfg = _fit_items()
+    mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
+                       edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
+
+    def run(epochs):
+        tcfg = TrainConfig(lr=0.05, batch_size=2, max_epochs=epochs, dropout=0.0, seed=3)
+        return fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim)
+
+    result = run(6)
+    val = [r["val_loss"] for r in result.history]
+    improving = [k for k in range(len(val)) if val[k] < min(val[:k], default=np.inf)]
+    assert len(improving) >= 2 and improving[-1] < len(val) - 1, val
+    # a fit that stops at the best epoch ends with the parameters it saved
+    upto_best = run(result.best_epoch + 1)
+    for k, p in result.params.items():
+        best = result.best_params[k]
+        assert not np.shares_memory(best, p.data)
+        assert best.dtype == p.data.dtype
+        assert best.tobytes() == upto_best.params[k].data.tobytes(), k
+
+
 def test_fit_is_deterministic_for_a_seed():
     items, vocab, gcfg = _fit_items()
     mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
