@@ -58,9 +58,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def numpy(self):
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 

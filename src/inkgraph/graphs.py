@@ -106,13 +106,13 @@ def convex_hull(points):
 
     Degenerate inputs give 1 (point) or 2 (segment) vertices.
     """
+    # rows come back sorted by x, then y, with no two equal
     pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
     if pts.shape[0] == 1:
         return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
     # Python floats are IEEE doubles: the chain does the same arithmetic as on
     # NumPy scalars, several times faster
-    pts = pts[order].tolist()
+    pts = pts.tolist()
     return np.array(_half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1])
 
 

@@ -22,7 +22,7 @@ def predict_aligned(result, reference):
     """Argmax decode of a ForwardResult into AlignedLabels on the reference support."""
     node_ids = result.node_logits.data.argmax(axis=1).astype(np.int64)
     n = node_ids.shape[0]
-    rows, cols = _support_index(result.support)
+    rows, cols = result.support.T
     edge_ids = np.full((n, n), -1, dtype=np.int64)
     edge_ids[rows, cols] = result.edge_logits.data.argmax(axis=1)
     support = np.zeros((n, n), dtype=np.int8)
@@ -32,24 +32,19 @@ def predict_aligned(result, reference):
     return AlignedLabels(node_ids=node_ids, edge_ids=edge_ids, order_adj=support)
 
 
-def primitive_counts(result, aligned, node_mask=None, edge_mask=None):
-    """(node_correct, node_total, edge_correct, edge_total) of the argmax
-    prediction in a ForwardResult against `aligned`, over the strokes and
-    support pairs whose mask is > 0 (all of them without masks)."""
-    node_sel = slice(None) if node_mask is None else node_mask > 0
-    node_hit = (result.node_logits.data.argmax(axis=1)[node_sel]
-                == aligned.node_ids[node_sel])
-    rows, cols = _support_index(result.support)
-    edge_sel = slice(None) if edge_mask is None else edge_mask[rows, cols] > 0
-    edge_hit = (result.edge_logits.data.argmax(axis=1)[edge_sel]
-                == aligned.edge_ids[rows, cols][edge_sel])
-    return (int(node_hit.sum()), int(node_hit.size),
-            int(edge_hit.sum()), int(edge_hit.size))
+def primitive_counts(result, node_labels, edge_labels, node_mask=None, edge_mask=None):
+    """(node_correct, node_total, edge_correct, edge_total): argmax hits of
+    the node and edge logit rows of a ForwardResult or BatchResult against
+    their labels, row by row, over the rows whose mask is > 0 (all rows
+    without masks)."""
+    def hits(logits, labels, mask):
+        hit = logits.data.argmax(axis=1) == labels
+        if mask is not None:
+            hit = hit[mask > 0]
+        return int(hit.sum()), int(hit.size)
 
-
-def _support_index(support):
-    """(rows, cols) index arrays of a support pair list."""
-    return tuple(np.array(support, dtype=np.int64).reshape(-1, 2).T)
+    return (*hits(result.node_logits, node_labels, node_mask),
+            *hits(result.edge_logits, edge_labels, edge_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +108,9 @@ def build_report(rows, dropped_relations=0):
 def evaluate_expression(expr_id, result, gold_aligned, gold_graph, vocab):
     """One per-expression metrics row from a forward pass and its ground truth."""
     pred_graph = decode_labels(predict_aligned(result, gold_aligned), vocab)
-    node_correct, node_total, edge_correct, edge_total = primitive_counts(result, gold_aligned)
+    rows, cols = result.support.T
+    node_correct, node_total, edge_correct, edge_total = primitive_counts(
+        result, gold_aligned.node_ids, gold_aligned.edge_ids[rows, cols])
     row = {
         "id": expr_id,
         "strokes": gold_aligned.num_nodes,

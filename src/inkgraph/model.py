@@ -231,15 +231,15 @@ def edge_attention_layer(h, b, edges, params, q, config, train=False, rng=None):
 class ForwardResult:
     """Final and auxiliary logits plus per-layer attention.
 
-    node_logits: (num_strokes, C1); edge_logits: (num_support_pairs, C2) in
-    support order; support: writing-order pairs (i < j, local indices);
-    aux: per earlier stage (node_logits, edge_logits); attention: per layer
-    (num_nodes, num_nodes) arrays including the master when present.
+    node_logits: (num_strokes, C1); edge_logits: (P, C2) in support order;
+    support: (P, 2) int64 writing-order pairs (i < j, local stroke indices),
+    row-major; aux: per earlier stage (node_logits, edge_logits); attention:
+    per layer (num_nodes, num_nodes) arrays including the master when present.
     """
 
     node_logits: Tensor
     edge_logits: Tensor
-    support: list
+    support: np.ndarray
     aux: list = field(default_factory=list)
     attention: list = field(default_factory=list)
 
@@ -250,10 +250,9 @@ class BatchResult:
 
     Logit rows are stacked in graph order: graph g owns node rows
     node_offsets[g]:node_offsets[g + 1] and edge rows
-    edge_offsets[g]:edge_offsets[g + 1]. supports: per graph its
-    writing-order pairs; attention: per layer, one weight per directed edge of
-    the union; layouts: per graph (num_nodes, src, dst, first edge) of its
-    edges in local indices, to scatter its attention into a dense matrix.
+    edge_offsets[g]:edge_offsets[g + 1]. supports: per graph its (P, 2)
+    support, as in ForwardResult; attention: per layer, one weight per
+    directed edge of the union, in edge_index order graph by graph.
     """
 
     node_logits: Tensor
@@ -263,38 +262,6 @@ class BatchResult:
     node_offsets: np.ndarray
     edge_offsets: np.ndarray
     attention: list
-    layouts: list
-
-    def __len__(self):
-        return len(self.supports)
-
-    def result(self, g, attention=True):
-        """Graph g's ForwardResult. Its logits are the batch tensors (a batch
-        of one) or row slices of them, recorded on the tape whenever the batch
-        tensors are, so gradients flow at every batch size."""
-        def rows(t, offsets):
-            if len(self) == 1:
-                return t
-            lo, hi = offsets[g], offsets[g + 1]
-            if t.requires_grad:
-                return eg.gather_rows(t, np.arange(lo, hi))
-            return Tensor(t.data[lo:hi])
-
-        def stage(nl, el):
-            return rows(nl, self.node_offsets), rows(el, self.edge_offsets)
-
-        dense = []
-        if attention:
-            n, src, dst, lo = self.layouts[g]
-            for alpha in self.attention:
-                mat = np.zeros((n, n), dtype=alpha.dtype)
-                mat[src, dst] = alpha[lo:lo + src.size]
-                dense.append(mat)
-        node_logits, edge_logits = stage(self.node_logits, self.edge_logits)
-        return ForwardResult(node_logits=node_logits, edge_logits=edge_logits,
-                             support=self.supports[g],
-                             aux=[stage(nl, el) for nl, el in self.aux],
-                             attention=dense)
 
 
 def forward(graphs, params, config, train=False, rng=None):
@@ -312,24 +279,20 @@ def forward(graphs, params, config, train=False, rng=None):
     dtype = params["enc.out.w"].dtype
 
     # the union: node indices offset by the nodes of earlier graphs
-    src, dst, edge_rows, strokes, sup_edges = [], [], [], [], []
-    supports, layouts = [], []
+    src, dst, edge_rows, strokes, sup_edges, supports = [], [], [], [], [], []
     node_base = edge_base = 0
     for graph in graphs:
-        n = graph.num_nodes
         off = 1 if graph.has_master else 0
         rows, cols = edge_index(graph.adjacency)
         src.append(rows + node_base)
         dst.append(cols + node_base)
         edge_rows.append(graph.edge_features[rows, cols])
-        strokes.append(np.arange(node_base + off, node_base + n))
-        edge_of = np.zeros((n, n), dtype=np.int64)
-        edge_of[rows, cols] = np.arange(edge_base, edge_base + rows.size)
-        sup_i, sup_j = np.nonzero(np.triu(graph.adjacency[off:, off:], 1))
-        sup_edges.append(edge_of[sup_i + off, sup_j + off])
-        supports.append(list(zip(sup_i.tolist(), sup_j.tolist())))
-        layouts.append((n, rows, cols, edge_base))
-        node_base += n
+        strokes.append(np.arange(node_base + off, node_base + graph.num_nodes))
+        # the support: stroke-to-stroke edges with i < j, in row-major order
+        sup = np.flatnonzero((rows >= off) & (cols > rows))
+        sup_edges.append(sup + edge_base)
+        supports.append(np.stack([rows[sup], cols[sup]], axis=1) - off)
+        node_base += graph.num_nodes
         edge_base += rows.size
     edges = (np.concatenate(src), np.concatenate(dst))
     strokes = np.concatenate(strokes)
@@ -357,9 +320,16 @@ def forward(graphs, params, config, train=False, rng=None):
         if config.aux_readouts and q < config.layers - 1:
             aux.append(stage_readout(f"read.aux{q + 1}", h, b))
     node_logits, edge_logits = stage_readout("read.final", h, b)
-    batch = BatchResult(
+    if single:
+        dense = []
+        for alpha in attention:
+            mat = np.zeros((node_base, node_base), dtype=alpha.dtype)
+            mat[edges] = alpha
+            dense.append(mat)
+        return ForwardResult(node_logits=node_logits, edge_logits=edge_logits,
+                             support=supports[0], aux=aux, attention=dense)
+    return BatchResult(
         node_logits=node_logits, edge_logits=edge_logits, aux=aux, supports=supports,
         node_offsets=np.cumsum([0] + [g.num_strokes for g in graphs]),
         edge_offsets=np.cumsum([0] + [len(s) for s in supports]),
-        attention=attention, layouts=layouts)
-    return batch.result(0) if single else batch
+        attention=attention)

@@ -17,7 +17,7 @@ import numpy as np
 from . import engine as eg
 from .engine import Adam, PlateauScheduler, Tape, Tensor, backward
 from .graphs import GraphConfig
-from .metrics import _support_index, primitive_counts
+from .metrics import primitive_counts
 from .model import ModelConfig, forward, init_parameters
 
 
@@ -112,9 +112,19 @@ def _local_masks(graph):
     return graph.node_mask[off:], graph.edge_mask[off:, off:]
 
 
-def _edge_targets(aligned, support, edge_mask):
-    rows, cols = _support_index(support)
-    return aligned.edge_ids[rows, cols], edge_mask[rows, cols].astype(np.float64)
+def _stacked_targets(batch, targets, per_graph=False):
+    """(node labels, node weights, edge labels, edge weights) of a batch: each
+    graph's labels and masks on its strokes and support pairs, stacked in
+    batch order. With per_graph, each graph's masks are divided by their sum."""
+    weigh = _per_graph if per_graph else np.asarray
+    node_labels, node_weights, edge_labels, edge_weights = stacks = [], [], [], []
+    for support, (aligned, nmask, emask) in zip(batch.supports, targets, strict=True):
+        rows, cols = support.T
+        node_labels.append(aligned.node_ids)
+        node_weights.append(weigh(nmask))
+        edge_labels.append(aligned.edge_ids[rows, cols])
+        edge_weights.append(weigh(emask[rows, cols]))
+    return [np.concatenate(stack) for stack in stacks]
 
 
 def graph_losses(batch, targets, config, per_graph=False):
@@ -126,18 +136,10 @@ def graph_losses(batch, targets, config, per_graph=False):
     primitives are averaged on their own and the loss is the sum of the
     graphs' losses.
     """
-    node_labels, node_weights, edge_labels, edge_weights = [], [], [], []
-    for support, (aligned, nmask, emask) in zip(batch.supports, targets, strict=True):
-        labels, mask = _edge_targets(aligned, support, emask)
-        node_labels.append(aligned.node_ids)
-        edge_labels.append(labels)
-        node_weights.append(_per_graph(nmask) if per_graph else nmask)
-        edge_weights.append(_per_graph(mask) if per_graph else mask)
-    nl_cat = np.concatenate(node_labels)
-    el_cat = np.concatenate(edge_labels)
+    nl_cat, nw_cat, el_cat, ew_cat = _stacked_targets(batch, targets, per_graph)
     el_cat = np.where(el_cat < 0, 0, el_cat)  # slots without support never pass the mask
-    nw_cat = np.concatenate(node_weights).astype(np.float64)
-    ew_cat = np.concatenate(edge_weights)
+    nw_cat = nw_cat.astype(np.float64)
+    ew_cat = ew_cat.astype(np.float64)
     # per graph the weights are already normalized; else the mean runs over the batch
     n_denom, e_denom = (1.0, 1.0) if per_graph else (float(nw_cat.sum()), float(ew_cat.sum()))
 
@@ -240,8 +242,8 @@ def validate(items, params, model_config, train_config):
         res = forward([g for g, _ in batch], params, model_config, train=False)
         targets = [(aligned, *_local_masks(g)) for g, aligned in batch]
         loss_sum += float(graph_losses(res, targets, train_config, per_graph=True).data)
-        for k, (aligned, nmask, emask) in enumerate(targets):
-            counts += primitive_counts(res.result(k, attention=False), aligned, nmask, emask)
+        node_labels, node_mask, edge_labels, edge_mask = _stacked_targets(res, targets)
+        counts += primitive_counts(res, node_labels, edge_labels, node_mask, edge_mask)
     return loss_sum / len(items), counts
 
 

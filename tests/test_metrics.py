@@ -31,7 +31,7 @@ def _aligned(node_ids, edges):
 def _result_for(aligned, node_classes, edge_classes):
     """A ForwardResult whose argmax reproduces `aligned` exactly."""
     node_logits = 10.0 * np.eye(node_classes)[aligned.node_ids]
-    support = aligned.support_pairs()
+    support = np.argwhere(aligned.order_adj)
     edge_logits = np.zeros((len(support), edge_classes))
     for k, (i, j) in enumerate(support):
         edge_logits[k, aligned.edge_ids[i, j]] = 10.0
@@ -52,19 +52,27 @@ def test_predict_aligned_argmax_and_support_check():
         predict_aligned(res, other)
 
 
+def _counts(res, gold, node_mask=None, edge_mask=None):
+    """primitive_counts of a ForwardResult against AlignedLabels and (n, n)
+    edge masks, read at the result's support."""
+    rows, cols = res.support.T
+    return primitive_counts(res, gold.node_ids, gold.edge_ids[rows, cols], node_mask,
+                            None if edge_mask is None else edge_mask[rows, cols])
+
+
 def test_primitive_accuracy_counts():
     gold = _aligned([1, 2, 3, 4, 0], {(0, 1): 2, (1, 2): 5, (2, 4): 13})
     pred = _aligned([1, 2, 9, 4, 0], {(0, 1): 2, (1, 2): 6, (2, 4): 13})
     res = _result_for(pred, node_classes=10, edge_classes=14)
-    assert primitive_counts(res, gold) == (4, 5, 2, 3)
-    assert primitive_counts(_result_for(gold, 10, 14), gold) == (5, 5, 3, 3)
+    assert _counts(res, gold) == (4, 5, 2, 3)
+    assert _counts(_result_for(gold, 10, 14), gold) == (5, 5, 3, 3)
     # masked strokes and support pairs leave both the hits and the totals
     node_mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
     edge_mask = np.ones((5, 5))
     edge_mask[1, 2] = 0.0
-    assert primitive_counts(res, gold, node_mask, edge_mask) == (4, 4, 2, 2)
+    assert _counts(res, gold, node_mask, edge_mask) == (4, 4, 2, 2)
     empty = _aligned([1, 2], {})
-    assert primitive_counts(_result_for(empty, 10, 14), empty) == (2, 2, 0, 0)
+    assert _counts(_result_for(empty, 10, 14), empty) == (2, 2, 0, 0)
 
 
 def test_expression_metrics_hand_cases():

@@ -345,7 +345,7 @@ def test_forward_shapes_stages_and_dense_logits():
     assert isinstance(out, ForwardResult)
     assert out.node_logits.shape == (6, cfg.node_classes)
     assert out.edge_logits.shape == (len(out.support), cfg.edge_classes)
-    assert out.support == sorted(out.support)
+    assert out.support.tolist() == sorted(out.support.tolist())
     local_adj = g.adjacency[1:, 1:]
     assert len(out.support) == int(np.triu(local_adj, 1).sum())
     assert all(0 <= i < j < 6 for i, j in out.support)
@@ -363,9 +363,9 @@ def test_forward_shapes_stages_and_dense_logits():
     dense = dense_edge_logits(out)
     assert dense.shape == (6, 6, cfg.edge_classes)
     sup_mask = np.zeros((6, 6), dtype=bool)
-    for i, j in out.support:
+    for k, (i, j) in enumerate(out.support):
         sup_mask[i, j] = True
-        assert np.array_equal(dense[i, j], out.edge_logits.data[out.support.index((i, j))])
+        assert np.array_equal(dense[i, j], out.edge_logits.data[k])
     assert np.all(dense[~sup_mask] == 0.0)
 
 
@@ -462,7 +462,7 @@ def test_forward_ablations_and_empty_support():
                         node_mask=np.ones(2), edge_mask=np.ones((2, 2)))
     gm = augment_global(lone)
     out2 = forward(gm, params, cfg)
-    assert out2.support == []
+    assert out2.support.shape == (0, 2)
     assert out2.edge_logits.shape == (0, cfg.edge_classes)
     assert out2.node_logits.shape == (2, cfg.node_classes)
 
@@ -595,42 +595,55 @@ def test_batch_forward_equals_standalone_forwards():
         params = init_parameters(cfg, edge_dim=7, seed=0, dtype=dtype)
         _randomize(params, np.random.default_rng(16))
         batch = forward(graphs, params, cfg)
-        assert isinstance(batch, BatchResult) and len(batch) == len(graphs)
+        assert isinstance(batch, BatchResult) and len(batch.supports) == len(graphs)
+        edge_base = 0
         for g, graph in enumerate(graphs):
             want = forward(graph, params, cfg)
-            got = batch.result(g)
-            assert got.support == want.support
-            pairs = [(got.node_logits, want.node_logits), (got.edge_logits, want.edge_logits)]
-            pairs += [(a, b) for x, y in zip(got.aux, want.aux) for a, b in zip(x, y)]
-            pairs = [(a.data, b.data) for a, b in pairs]
-            pairs += list(zip(got.attention, want.attention))
-            assert len(pairs) == 2 + 2 * cfg.layers + cfg.layers
-            for a, b in pairs:
+            assert np.array_equal(batch.supports[g], want.support)
+            # graph g's logit rows, and its directed edges' attention weights
+            nodes = slice(batch.node_offsets[g], batch.node_offsets[g + 1])
+            pairs = slice(batch.edge_offsets[g], batch.edge_offsets[g + 1])
+            src, dst = np.nonzero(graph.adjacency)
+            edges = slice(edge_base, edge_base + src.size)
+            edge_base += src.size
+            stages = zip([(batch.node_logits, batch.edge_logits)] + batch.aux,
+                         [(want.node_logits, want.edge_logits)] + want.aux, strict=True)
+            compared = []
+            for (got_n, got_e), (want_n, want_e) in stages:
+                compared += [(got_n.data[nodes], want_n.data), (got_e.data[pairs], want_e.data)]
+            compared += [(alpha[edges], mat[src, dst])
+                         for alpha, mat in zip(batch.attention, want.attention, strict=True)]
+            assert len(compared) == 2 + 2 * cfg.layers + cfg.layers
+            for a, b in compared:
                 assert a.shape == b.shape, g
                 assert np.abs(a - b).max(initial=0.0) <= tol, (dtype, g)
         # the batch runs each layer once over the union's edges
         assert len(batch.attention) == cfg.layers
         assert batch.attention[0].shape == (sum(int(g.adjacency.sum()) for g in graphs),)
+        assert edge_base == batch.attention[0].shape[0]
 
 
-def test_batch_result_passes_gradients_for_every_batch_size():
-    # a loss built from graph g's result trains on graph g alone, whether the
-    # batch holds one graph or several
-    rng = np.random.default_rng(17)
-    graphs = [_rand_graph(rng, 4, 5, master=True), _rand_graph(rng, 6, 5)]
-    cfg = _small_config(hidden=8, layers=2)
-    params = init_parameters(cfg, edge_dim=5, seed=0, dtype=np.float64)
-    _randomize(params, np.random.default_rng(18))
-
-    def grads(batch_graphs, g):
-        with Tape() as tape:
-            res = forward(batch_graphs, params, cfg).result(g)
-            loss = eg.add(eg.tsum(res.node_logits), eg.tsum(eg.mul(res.edge_logits,
-                                                                   res.edge_logits)))
-            return backward(tape, loss, params)
-
-    want = grads([graphs[1]], 0)
-    got = grads(graphs, 1)
-    assert any(np.any(v != 0.0) for v in want.values())
-    for name in params:
-        assert np.abs(got[name] - want[name]).max(initial=0.0) <= 1e-10, name
+def test_support_is_the_aligned_writing_order_support():
+    # forward puts edge logits on exactly the pairs align_labels puts targets
+    # on, in the same row-major order, with or without a master node
+    vocab = Vocabulary.default()
+    cfg = _small_config()
+    local_cfg = GraphConfig(d_n=16, d_e=3)
+    fc_cfg = GraphConfig(d_n=16, d_e=3, full_connect=True)
+    params = init_parameters(cfg, edge_dim=local_cfg.edge_dim, seed=0)
+    cases = []
+    for text, gcfg in (("1+x-2", local_cfg), ("1+x-2", fc_cfg), ("1", local_cfg)):
+        expr, lg = compose([("sym", c) for c in text])
+        local = build_local_graph(expr, gcfg)
+        want = np.argwhere(align_labels(lg, local.adjacency, vocab).order_adj)
+        cases += [(local, want), (augment_global(local), want)]
+    n = cases[2][0].num_strokes
+    assert len(cases[2][1]) == n * (n - 1) // 2  # FC: every pair of strokes
+    assert not cases[4][0].adjacency.any() and cases[4][1].shape == (0, 2)
+    for graph, want in cases:
+        support = forward(graph, params, cfg).support
+        assert support.dtype == np.int64 and support.shape == want.shape
+        assert np.array_equal(support, want)
+    batch = forward([graph for graph, _ in cases], params, cfg)
+    for support, (_, want) in zip(batch.supports, cases, strict=True):
+        assert support.dtype == np.int64 and np.array_equal(support, want)

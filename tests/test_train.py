@@ -331,10 +331,12 @@ def test_batched_validation_is_the_mean_of_per_graph_losses():
     losses, want_counts = [], np.zeros(4, dtype=np.int64)
     for g, al in items:
         res = forward([g], params, mcfg)
-        masks = (g.node_mask[1:], g.edge_mask[1:, 1:])
-        losses.append(float(graph_losses(res, [(al, *masks)], tcfg).data))
-        want_counts += primitive_counts(res.result(0, attention=False), al, *masks)
-    assert forward(items[2][0], params, mcfg).support == []
+        nmask, emask = g.node_mask[1:], g.edge_mask[1:, 1:]
+        losses.append(float(graph_losses(res, [(al, nmask, emask)], tcfg).data))
+        rows, cols = res.supports[0].T
+        want_counts += primitive_counts(res, al.node_ids, al.edge_ids[rows, cols],
+                                        nmask, emask[rows, cols])
+    assert forward(items[2][0], params, mcfg).support.shape == (0, 2)
     assert losses[1] > 0.0  # the node loss remains
 
     for batch_size in (1, 2, 3, 5):
@@ -357,9 +359,10 @@ def test_primitive_counts_respect_masks():
 
     # force perfect labels, then knock out one node and one edge via the masks
     aligned.node_ids[:] = res.node_logits.data.argmax(axis=1)
-    for k, (i, j) in enumerate(res.support):
-        aligned.edge_ids[i, j] = res.edge_logits.data[k].argmax()
-    nc, nt, ec, et = primitive_counts(res, aligned, nmask, emask)
+    rows, cols = res.support.T
+    aligned.edge_ids[rows, cols] = res.edge_logits.data.argmax(axis=1)
+    nc, nt, ec, et = primitive_counts(res, aligned.node_ids, aligned.edge_ids[rows, cols],
+                                      nmask, emask[rows, cols])
     assert (nc, nt) == (5, 5)
     assert (ec, et) == (len(res.support), len(res.support))
 
@@ -367,7 +370,8 @@ def test_primitive_counts_respect_masks():
     i0, j0 = res.support[0]
     emask[i0, j0] = 0.0
     aligned.node_ids[0] += 1  # wrong now, but masked
-    nc, nt, ec, et = primitive_counts(res, aligned, nmask, emask)
+    nc, nt, ec, et = primitive_counts(res, aligned.node_ids, aligned.edge_ids[rows, cols],
+                                      nmask, emask[rows, cols])
     assert (nc, nt) == (4, 4)
     assert (ec, et) == (len(res.support) - 1, len(res.support) - 1)
 
