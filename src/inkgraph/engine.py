@@ -213,8 +213,10 @@ def matmul(a, b):
     out = a.data @ b.data
 
     def back(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _record("matmul", out, (a, b), back)
 
@@ -442,32 +444,95 @@ def conv1d(x, w, stride=1, padding=0, groups=1):
     if lout <= 0:
         raise ShapeError(f"conv1d: kernel {k} too large for length {length} (pad {padding})")
 
-    if groups == 1 and k == 1 and stride == 1 and padding == 0:
-        kernel = _conv1d_pointwise
+    if stride == 1 and groups == cin == cout and padding < k:
+        kernel = _conv1d_depthwise
     else:
         kernel = _conv1d_grouped
     out, grads = kernel(x.data, w.data, stride, padding, groups)
 
     def back(g):
-        gx, gw = grads(g)
-        _accum(x, gx)
-        _accum(w, gw)
+        gx, gw = grads(g, x.requires_grad, w.requires_grad)
+        if gx is not None:
+            _accum(x, gx)
+        if gw is not None:
+            _accum(w, gw)
 
     return _record("conv1d", out.astype(x.dtype, copy=False), (x, w), back)
 
 
 # Each conv1d kernel maps (x, w, stride, padding, groups) arrays to the output
-# and a function of the output gradient that returns (grad x, grad w).
+# and a function grads(g, need_x, need_w) of the output gradient that returns
+# (grad x or None, grad w or None), computing only the ones asked for.
 
 
-def _conv1d_pointwise(x, w, stride, padding, groups):
-    """Kernel 1, one group, no padding: one batched matmul."""
-    w2 = w[:, :, 0]
-    out = np.matmul(w2[None], x)
+def _conv1d_depthwise(x, w, stride, padding, groups):
+    """Stride 1, one weight per channel, padding < K: the banded kernel on the
+    channel-major view of x."""
+    out, band_grads = _depthwise_banded(x.transpose(1, 0, 2), w[:, 0], padding)
 
-    def grads(g):
-        return (np.matmul(w2.T[None], g),
-                np.tensordot(g, x, axes=([0, 2], [0, 2]))[:, :, None])
+    def grads(g, need_x, need_w):
+        gx, gw = band_grads(g.transpose(1, 0, 2), need_x, need_w)
+        return (None if gx is None else gx.transpose(1, 0, 2),
+                None if gw is None else gw[:, None])
+
+    return out.transpose(1, 0, 2), grads
+
+
+_BAND_TILE = 32  # outputs per tile of the depthwise Toeplitz band
+
+
+def _tile_windows(a, lead, length, tile, width):
+    """Windows of `width` positions every `tile` positions along the last axis
+    of `a` (C, B, L) with `lead` zeros in front and zeros past its end, enough
+    to cover `length` outputs of `tile` each, copied out as (C, B*tiles, width)."""
+    c, bsz, n = a.shape
+    tiles = -(-length // tile)
+    ap = np.zeros((c, bsz, (tiles - 1) * tile + width), dtype=a.dtype)
+    ap[:, :, lead:lead + n] = a
+    win = np.lib.stride_tricks.sliding_window_view(ap, width, axis=2)[:, :, ::tile]
+    return np.ascontiguousarray(win).reshape(c, bsz * tiles, width)
+
+
+def _band(w, tile):
+    """(C, K) taps -> each channel's (T + K - 1, T) tile of its Toeplitz band,
+    whose column j holds the taps in rows j..j+K-1."""
+    c, k = w.shape
+    band = np.zeros((c, tile + k - 1, tile), dtype=w.dtype)
+    band[:, _band_rows(tile, k), np.arange(tile)] = w[:, :, None]
+    return band
+
+
+def _band_rows(tile, k):
+    """(K, T): the band row of tap k in column j, j + k."""
+    return np.arange(tile) + np.arange(k)[:, None]
+
+
+def _depthwise_banded(xc, w, padding):
+    """Depthwise stride-1 conv of channel-major xc (C, B, L) with taps w (C, K)
+    and 0 <= padding < K: one GEMM per channel of its input windows against a
+    fixed tile of its Toeplitz band (Chellapilla, Puri & Simard 2006). Returns
+    the output as a (C, B, Lout) view and grads(gc, need_x, need_w) of its
+    gradient (C, B, Lout), which returns (grad xc or None, grad w or None)."""
+    c, bsz, length = xc.shape
+    k = w.shape[1]
+    lout = length + 2 * padding - k + 1
+    tile = max(_BAND_TILE, k - 1)
+    width = tile + k - 1
+    win = _tile_windows(xc, padding, lout, tile, width)
+    out = np.matmul(win, _band(w, tile)).reshape(c, bsz, -1)[:, :, :lout]
+
+    def grads(gc, need_x, need_w):
+        # The band's transpose is the band of the reversed taps: grad x is the
+        # gradient correlated with w[:, ::-1] behind K - 1 - padding zeros.
+        gwin = _tile_windows(gc, k - 1 - padding, length, tile, width)
+        gx = gw = None
+        if need_x:
+            gx = np.matmul(gwin, _band(w[:, ::-1], tile)).reshape(c, bsz, -1)[:, :, :length]
+        if need_w:
+            # input tile position j meets tap k at gradient window row j + K-1-k
+            prod = np.matmul(gwin.transpose(0, 2, 1), _tile_windows(xc, 0, length, tile, tile))
+            gw = prod[:, _band_rows(tile, k), np.arange(tile)].sum(axis=2)[:, ::-1]
+        return gx, gw
 
     return out, grads
 
@@ -493,7 +558,7 @@ def _conv1d_grouped(x, w, stride, padding, groups):
         hi = lo + _GROUP_BLOCK
         out[:, lo:hi] = np.einsum("bgclk,gock->bgol", wing[:, lo:hi], wg[lo:hi], optimize=True)
 
-    def grads(g):
+    def grads(g, need_x, need_w):
         gg = g.reshape(bsz, groups, og, lout)
         xg = xp.reshape(bsz, groups, cg, xp.shape[2])
         gxp = np.zeros_like(xp)
@@ -501,11 +566,89 @@ def _conv1d_grouped(x, w, stride, padding, groups):
         gw = np.empty_like(wg)
         for kk in range(k):
             taps = slice(kk, kk + stride * lout, stride)
-            gxg[:, :, :, taps] += np.einsum("bgol,goc->bgcl", gg, wg[:, :, :, kk])
-            gw[:, :, :, kk] = np.einsum("bgol,bgcl->goc", gg, xg[:, :, :, taps])
-        return gxp[:, :, padding:padding + length], gw.reshape(w.shape)
+            if need_x:
+                gxg[:, :, :, taps] += np.einsum("bgol,goc->bgcl", gg, wg[:, :, :, kk])
+            if need_w:
+                gw[:, :, :, kk] = np.einsum("bgol,bgcl->goc", gg, xg[:, :, :, taps])
+        return (gxp[:, :, padding:padding + length] if need_x else None,
+                gw.reshape(w.shape) if need_w else None)
 
     return out.reshape(bsz, cout, lout), grads
+
+
+def sepconv_block(x, dw_w, dw_b, pw_w, pw_b, proj_w, proj_b, padding, pool=False):
+    """One residual separable conv block as one op:
+    relu(pointwise(depthwise(x) + dw_b) + pw_b) + proj(x) + proj_b.
+
+    x: (B, Cin, L); dw_w: (Cin, 1, K) with 2 * padding == K - 1, so the length
+    is kept; pw_w and proj_w: (Cout, Cin, 1); biases 1-D. The depthwise conv
+    runs on the banded kernel, and each 1x1 conv as one GEMM over all B*L
+    positions, channel-major. Bias, relu and skip are written in place, the
+    output is checked once and one tape node is recorded. The output is a
+    (B, Cout, L) view of a (Cout, B, L) array, which the next block reads
+    without a copy.
+
+    With pool, the output is its mean over the length axis, (B, Cout). The
+    mean commutes with the skip's 1x1 conv, so the skip runs on the mean of
+    x: one (Cout, Cin) x (Cin, B) product instead of one over all B*L
+    positions, in the forward and in both of its gradients."""
+    x = _as_tensor(x)
+    dw_w, dw_b, pw_w, pw_b, proj_w, proj_b = (
+        _as_tensor(t, like_dtype=x.dtype) for t in (dw_w, dw_b, pw_w, pw_b, proj_w, proj_b))
+    if x.ndim != 3:
+        raise ShapeError(f"sepconv_block: expects (B,C,L), got {x.shape}")
+    bsz, cin, length = x.shape
+    cout, k = pw_w.shape[0], dw_w.shape[-1]
+    if (dw_w.shape != (cin, 1, k) or 2 * padding != k - 1 or dw_b.shape != (cin,)
+            or pw_w.shape != (cout, cin, 1) or proj_w.shape != (cout, cin, 1)
+            or pw_b.shape != (cout,) or proj_b.shape != (cout,)):
+        raise ShapeError(
+            f"sepconv_block: shapes disagree, x={x.shape} dw={dw_w.shape}/{dw_b.shape} "
+            f"pw={pw_w.shape}/{pw_b.shape} proj={proj_w.shape}/{proj_b.shape} pad={padding}")
+    xc = x.data.transpose(1, 0, 2)
+    d, dw_grads = _depthwise_banded(xc, dw_w.data[:, 0], padding)
+    h = np.add(d, dw_b.data[:, None, None]).reshape(cin, -1)
+    pw2, proj2 = pw_w.data[:, :, 0], proj_w.data[:, :, 0]
+    act = pw2 @ h
+    act += pw_b.data[:, None]
+    np.maximum(act, 0, out=act)
+    # the skip's input: x over all positions, or its mean per stroke
+    x2 = xc.mean(axis=2) if pool else np.ascontiguousarray(xc).reshape(cin, -1)
+    out = proj2 @ x2
+    out += proj_b.data[:, None]
+    out += act.reshape(cout, bsz, length).mean(axis=2) if pool else act
+
+    def back(g):
+        # gs: the gradient at the skip's output, (Cout, B) or (Cout, B*L)
+        gs = np.ascontiguousarray(g.T if pool else g.transpose(1, 0, 2)).reshape(cout, -1)
+        if proj_b.requires_grad:
+            _accum(proj_b, gs.sum(axis=1))
+        if proj_w.requires_grad:
+            _accum(proj_w, (gs @ x2.T)[:, :, None])
+        mask = act > 0
+        if pool:  # the mean's gradient, spread over the length axis
+            gpw = ((gs / length)[:, :, None] * mask.reshape(cout, bsz, length)).reshape(cout, -1)
+        else:
+            gpw = gs * mask
+        if pw_b.requires_grad:
+            _accum(pw_b, gpw.sum(axis=1))
+        if pw_w.requires_grad:
+            _accum(pw_w, (gpw @ h.T)[:, :, None])
+        if not (x.requires_grad or dw_w.requires_grad or dw_b.requires_grad):
+            return
+        gh = pw2.T @ gpw
+        if dw_b.requires_grad:
+            _accum(dw_b, gh.sum(axis=1))
+        gd, gdw = dw_grads(gh.reshape(cin, bsz, length), x.requires_grad, dw_w.requires_grad)
+        if gdw is not None:
+            _accum(dw_w, gdw[:, None])
+        if gd is not None:
+            gskip = proj2.T @ gs
+            gx = gd + (gskip / length)[:, :, None] if pool else gd + gskip.reshape(gd.shape)
+            _accum(x, gx.transpose(1, 0, 2))
+
+    out = out.T if pool else out.reshape(cout, bsz, length).transpose(1, 0, 2)
+    return _record("sepconv_block", out, (x, dw_w, dw_b, pw_w, pw_b, proj_w, proj_b), back)
 
 
 def avg_pool1d(x, kernel, stride):

@@ -133,26 +133,16 @@ def init_parameters(config, edge_dim, seed=0, dtype=np.float32):
 # embedders
 
 
-def _conv_block(x, params, prefix, cin, cout):
-    dw = eg.conv1d(x, params[f"{prefix}.dw.w"], stride=1,
-                   padding=ENCODER_KERNEL // 2, groups=cin)
-    dw = eg.add(dw, eg.reshape(params[f"{prefix}.dw.b"], (1, cin, 1)))
-    pw = eg.conv1d(dw, params[f"{prefix}.pw.w"], stride=1, padding=0)
-    pw = eg.add(pw, eg.reshape(params[f"{prefix}.pw.b"], (1, cout, 1)))
-    act = eg.relu(pw)
-    skip = eg.conv1d(x, params[f"{prefix}.proj.w"], stride=1, padding=0)
-    skip = eg.add(skip, eg.reshape(params[f"{prefix}.proj.b"], (1, cout, 1)))
-    return eg.add(act, skip)
-
-
 def node_embed(features, params):
     """(n, 2, L) resampled coordinates -> (n, hidden). Identical strokes map to
     identical vectors; the length axis is average-pooled away."""
     x = features if isinstance(features, Tensor) else Tensor(features)
     for bi in range(3):
-        x = _conv_block(x, params, f"enc.b{bi}", ENCODER_CHANNELS[bi], ENCODER_CHANNELS[bi + 1])
-    pooled = eg.tmean(x, axis=2)
-    return eg.add(eg.matmul(pooled, params["enc.out.w"]), params["enc.out.b"])
+        # the last block also takes the mean over the length axis
+        x = eg.sepconv_block(x, *(params[f"enc.b{bi}.{n}"] for n in
+                                  ("dw.w", "dw.b", "pw.w", "pw.b", "proj.w", "proj.b")),
+                             padding=ENCODER_KERNEL // 2, pool=bi == 2)
+    return eg.add(eg.matmul(x, params["enc.out.w"]), params["enc.out.b"])
 
 
 def _edge_mlp_rows(rows, params):

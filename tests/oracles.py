@@ -56,6 +56,46 @@ def naive_conv1d(x, w, stride=1, padding=0, groups=1):
     return out
 
 
+def naive_conv1d_grads(x, w, g, stride=1, padding=0, groups=1):
+    """Nested-loop (grad x, grad w) of sum(g * naive_conv1d(x, w, ...))."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    bsz, cin, length = x.shape
+    cout, cper, k = w.shape
+    xp = np.zeros((bsz, cin, length + 2 * padding))
+    xp[:, :, padding:padding + length] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    og = cout // groups
+    for bi in range(bsz):
+        for oc in range(cout):
+            gi = oc // og
+            for t in range(g.shape[2]):
+                for ic in range(cper):
+                    for kk in range(k):
+                        pos = t * stride + kk
+                        gxp[bi, gi * cper + ic, pos] += g[bi, oc, t] * w[oc, ic, kk]
+                        gw[oc, ic, kk] += g[bi, oc, t] * xp[bi, gi * cper + ic, pos]
+    return gxp[:, :, padding:padding + length], gw
+
+
+def unfused_conv_block(x, params, prefix, cin, cout):
+    """The encoder's conv block as a chain of single engine ops (conv1d, add,
+    reshape, relu), the form the fused sepconv_block replaced."""
+    from inkgraph import engine as eg
+    from inkgraph.model import ENCODER_KERNEL
+
+    dw = eg.conv1d(x, params[f"{prefix}.dw.w"], stride=1,
+                   padding=ENCODER_KERNEL // 2, groups=cin)
+    dw = eg.add(dw, eg.reshape(params[f"{prefix}.dw.b"], (1, cin, 1)))
+    pw = eg.conv1d(dw, params[f"{prefix}.pw.w"], stride=1, padding=0)
+    pw = eg.add(pw, eg.reshape(params[f"{prefix}.pw.b"], (1, cout, 1)))
+    act = eg.relu(pw)
+    skip = eg.conv1d(x, params[f"{prefix}.proj.w"], stride=1, padding=0)
+    skip = eg.add(skip, eg.reshape(params[f"{prefix}.proj.b"], (1, cout, 1)))
+    return eg.add(act, skip)
+
+
 def whole_array_adam_step(p, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update of arrays p, m, v in place, each as one whole-array
     expression (the engine's update before it was blocked)."""

@@ -184,6 +184,16 @@ def test_gradient_suite():
             eg.segment_softmax(t["x"], seg_ids), Tensor(wss))),
          {"x": r2((6, 2))}),
     ]
+    # the encoder's fused conv block, from a generator of its own as well
+    r3 = np.random.default_rng(2).standard_normal
+    wsep = r3((2, 4, 10))
+    cases += [
+        ("sepconv_block", lambda t: eg.tsum(eg.mul(eg.sepconv_block(
+            t["x"], t["dw_w"], t["dw_b"], t["pw_w"], t["pw_b"], t["proj_w"], t["proj_b"],
+            padding=4), Tensor(wsep))),
+         {"x": r3((2, 3, 10)), "dw_w": r3((3, 1, 9)), "dw_b": r3((3,)), "pw_w": r3((4, 3, 1)),
+          "pw_b": r3((4,)), "proj_w": r3((4, 3, 1)), "proj_b": r3((4,))}),
+    ]
     worst_primitive = 0.0
     for name, build, arrays in cases:
         err = fd_worst(build, arrays)

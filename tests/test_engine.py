@@ -9,7 +9,8 @@ from inkgraph.engine import (Adam, EngineError, NonFiniteError, PlateauScheduler
                              ShapeError, Tape, Tensor, backward, load_checkpoint,
                              save_checkpoint)
 
-from oracles import finite_diff_grad, naive_conv1d, rel_err, whole_array_adam_step
+from oracles import (finite_diff_grad, naive_conv1d, naive_conv1d_grads, rel_err,
+                     unfused_conv_block, whole_array_adam_step)
 
 TOL = 1e-5
 EPS = 1e-6
@@ -234,13 +235,14 @@ def test_scatter_and_gather_match_add_at_on_unsorted_and_empty_indices():
 
 
 def test_conv1d_across_group_blocks_matches_naive_oracle_and_finite_differences():
-    # the forward runs one einsum per block of eg._GROUP_BLOCK groups: one
-    # channel, a partial block and more groups than one block, depthwise
-    # (groups == channels, the encoder's case) and with several channels
-    # per group at stride 2
+    # the grouped kernel's forward runs one einsum per block of
+    # eg._GROUP_BLOCK groups: one channel, a partial block and more groups
+    # than one block, depthwise (groups == channels) and with several channels
+    # per group. Depthwise at stride 1 takes the banded kernel, so these run at
+    # stride 2, which only the grouped kernel serves.
     rng = np.random.default_rng(12)
     block = eg._GROUP_BLOCK
-    cases = [(1, 1, 1, 1), (5, 5, 5, 1), (block + 4, block + 4, block + 4, 1),
+    cases = [(1, 1, 1, 2), (5, 5, 5, 2), (block + 4, block + 4, block + 4, 2),
              (2 * (block + 2), block + 2, block + 2, 2)]
     for cin, cout, groups, stride in cases:
         for padding in (0, 4):
@@ -256,6 +258,141 @@ def test_conv1d_across_group_blocks_matches_naive_oracle_and_finite_differences(
             _check(lambda t: eg.tsum(eg.mul(eg.conv1d(t["x"], t["w"], stride=stride,
                                                       padding=padding, groups=groups),
                                             Tensor(r))), {"x": x, "w": w})
+
+
+def test_depthwise_banded_kernel_matches_grouped_kernel_naive_oracle_and_finite_differences():
+    # depthwise stride 1 runs on tiles of eg._BAND_TILE outputs: lengths below,
+    # at and past one tile, not a multiple of it and the encoder's 150; one
+    # stroke and one channel; no, partial and full padding; and a kernel whose
+    # K - 1 overlap is wider than the tile
+    tile = eg._BAND_TILE
+    rng = np.random.default_rng(13)
+    cases = [(3, 4, 12, 9, 4), (2, 3, tile, 9, 4), (2, 3, tile + 13, 9, 4),
+             (2, 2, 150, 9, 4), (1, 5, 40, 9, 4), (3, 1, 33, 9, 4),
+             (2, 3, 20, 3, 0), (2, 3, 20, 3, 2), (2, 2, 50, tile + 8, tile // 2)]
+    for bsz, c, length, k, padding in cases:
+        x = rng.standard_normal((bsz, c, length))
+        w = rng.standard_normal((c, 1, k))
+        lout = length + 2 * padding - k + 1
+        g = rng.standard_normal((bsz, c, lout))
+        want = naive_conv1d(x, w, padding=padding, groups=c)
+        want_gx, want_gw = naive_conv1d_grads(x, w, g, padding=padding, groups=c)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            xd, wd = x.astype(dtype), w.astype(dtype)
+            out, grads = eg._conv1d_depthwise(xd, wd, 1, padding, c)
+            ref, ref_grads = eg._conv1d_grouped(xd, wd, 1, padding, c)
+            gx, gw = grads(g.astype(dtype), True, True)
+            ref_gx, ref_gw = ref_grads(g.astype(dtype), True, True)
+            assert out.dtype == gx.dtype == gw.dtype == dtype
+            assert out.shape == want.shape and gx.shape == x.shape and gw.shape == w.shape
+            for got, oracle, kernel in ((out, want, ref), (gx, want_gx, ref_gx),
+                                        (gw, want_gw, ref_gw)):
+                assert rel_err(got, oracle) < tol, (bsz, c, length, k, padding, dtype)
+                assert rel_err(got, kernel) < tol, (bsz, c, length, k, padding, dtype)
+
+            t = Tensor(xd, requires_grad=True)
+            tw = Tensor(wd, requires_grad=True)
+            with Tape() as tape:
+                y = eg.conv1d(t, tw, padding=padding, groups=c)
+                backward(tape, eg.tsum(eg.mul(y, Tensor(g.astype(dtype)))))
+            assert rel_err(y.data, want) < tol
+            assert rel_err(t.grad, want_gx) < tol and rel_err(tw.grad, want_gw) < tol
+        _check(lambda t: eg.tsum(eg.mul(eg.conv1d(t["x"], t["w"], padding=padding, groups=c),
+                                        Tensor(g))), {"x": x, "w": w})
+
+
+def _block_params(rng, cin, cout, k=9):
+    shapes = {"dw.w": (cin, 1, k), "dw.b": (cin,), "pw.w": (cout, cin, 1),
+              "pw.b": (cout,), "proj.w": (cout, cin, 1), "proj.b": (cout,)}
+    return {f"b.{name}": rng.standard_normal(shape) for name, shape in shapes.items()}
+
+
+BLOCK_ORDER = ("dw.w", "dw.b", "pw.w", "pw.b", "proj.w", "proj.b")
+
+
+def test_sepconv_block_matches_the_unfused_op_chain():
+    # pooled, it matches the chain followed by a mean over the length axis
+    rng = np.random.default_rng(14)
+    for bsz, cin, cout, length in ((3, 2, 5, 12), (2, 4, 6, 40), (1, 3, 3, 150)):
+        arrays = _block_params(rng, cin, cout)
+        arrays["x"] = rng.standard_normal((bsz, cin, length))
+        for pool in (False, True):
+            g = rng.standard_normal((bsz, cout) if pool else (bsz, cout, length))
+            results = []
+            for fused in (True, False):
+                t = {k: Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
+                with Tape() as tape:
+                    if fused:
+                        out = eg.sepconv_block(t["x"], *(t[f"b.{n}"] for n in BLOCK_ORDER),
+                                               padding=4, pool=pool)
+                    else:
+                        out = unfused_conv_block(t["x"], t, "b", cin, cout)
+                        if pool:
+                            out = eg.tmean(out, axis=2)
+                    backward(tape, eg.tsum(eg.mul(out, Tensor(g))))
+                assert out.shape == g.shape
+                results.append((out.data, {k: v.grad for k, v in t.items()}))
+            (out, grads), (ref, ref_grads) = results
+            assert rel_err(out, ref) < 1e-12, (length, pool)
+            for name in arrays:
+                assert rel_err(grads[name], ref_grads[name]) < 1e-12, (length, pool, name)
+
+
+def test_sepconv_block_matches_finite_differences_and_records_one_node():
+    rng = np.random.default_rng(15)
+    arrays = _block_params(rng, 3, 4, k=5)
+    arrays["x"] = rng.standard_normal((2, 3, 7))
+    for pool in (False, True):
+        r = rng.standard_normal((2, 4) if pool else (2, 4, 7))
+
+        def build(t):
+            out = eg.sepconv_block(t["x"], *(t[f"b.{n}"] for n in BLOCK_ORDER), padding=2,
+                                   pool=pool)
+            return eg.tsum(eg.mul(out, Tensor(r)))
+
+        _check(build, arrays)
+        t = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        with Tape() as tape:
+            eg.sepconv_block(t["x"], *(t[f"b.{n}"] for n in BLOCK_ORDER), padding=2, pool=pool)
+        assert len(tape) == 1
+    with pytest.raises(ShapeError, match="sepconv_block"):
+        eg.sepconv_block(t["x"], *(t[f"b.{n}"] for n in BLOCK_ORDER), padding=1)
+
+
+def test_inputs_without_requires_grad_get_none_and_leave_the_rest_bit_identical():
+    # matmul, conv1d (both kernels) and sepconv_block skip the gradient of an
+    # input that needs none; every other input's gradient keeps its bits
+    rng = np.random.default_rng(16)
+    block = _block_params(rng, 3, 4)
+    block["x"] = rng.standard_normal((2, 3, 12))
+    cases = [
+        (lambda t: eg.matmul(t["a"], t["b"]),
+         {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((4, 5))}),
+        (lambda t: eg.conv1d(t["x"], t["w"], padding=4, groups=3),
+         {"x": rng.standard_normal((2, 3, 12)), "w": rng.standard_normal((3, 1, 9))}),
+        (lambda t: eg.conv1d(t["x"], t["w"], stride=2, padding=1, groups=1),
+         {"x": rng.standard_normal((2, 3, 12)), "w": rng.standard_normal((4, 3, 3))}),
+        (lambda t: eg.sepconv_block(t["x"], *(t[f"b.{n}"] for n in BLOCK_ORDER), padding=4),
+         block),
+        (lambda t: eg.sepconv_block(t["x"], *(t[f"b.{n}"] for n in BLOCK_ORDER), padding=4,
+                                    pool=True), block),
+    ]
+    for build, arrays in cases:
+        def grads(frozen):
+            t = {k: Tensor(v.astype(np.float32), requires_grad=k != frozen)
+                 for k, v in arrays.items()}
+            with Tape() as tape:
+                out = build(t)
+                backward(tape, eg.tsum(eg.mul(out, Tensor(np.ones(out.shape, np.float32)))))
+            return {k: v.grad for k, v in t.items()}
+
+        full = grads(None)
+        for frozen in arrays:
+            part = grads(frozen)
+            assert part[frozen] is None
+            for k, v in part.items():
+                if k != frozen:
+                    assert v.tobytes() == full[k].tobytes(), (frozen, k)
 
 
 def test_dropout_gradient_with_fixed_seed():

@@ -375,7 +375,7 @@ def test_nan_in_a_node_feature_or_parameter_raises_where_it_is_first_computed_on
     params = init_parameters(cfg, edge_dim=7, seed=0)
     g = _rand_graph(rng, 5, edge_dim=7, master=True)
     g.node_features[2, 1, 3] = np.nan
-    with pytest.raises(eg.NonFiniteError, match="^conv1d:"):
+    with pytest.raises(eg.NonFiniteError, match="^sepconv_block:"):
         forward(g, params, cfg)
     g = _rand_graph(rng, 5, edge_dim=7, master=True)
     forward(g, params, cfg)
