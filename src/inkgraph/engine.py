@@ -84,6 +84,11 @@ class Tape:
         return len(self._nodes)
 
 
+def tape_active():
+    """Whether ops are being recorded on a Tape right now."""
+    return _ACTIVE_TAPE is not None
+
+
 def _as_tensor(x, like_dtype=None):
     if isinstance(x, Tensor):
         return x
@@ -91,7 +96,7 @@ def _as_tensor(x, like_dtype=None):
 
 
 def _check_finite(op, arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op}: produced non-finite values")
 
 

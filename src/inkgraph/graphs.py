@@ -423,20 +423,3 @@ def graph_to_json(graph):
     }
     return json.dumps(doc, sort_keys=True)
 
-
-def graph_from_json(text):
-    doc = json.loads(text)
-
-    def unblob(b64, shape):
-        raw = base64.b64decode(b64)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-
-    n = doc["n"]
-    return ModeledGraph(
-        adjacency=np.array(doc["adjacency"], dtype=np.int8).reshape(n, n),
-        node_features=unblob(doc["node_features"], doc["node_feature_shape"]),
-        edge_features=unblob(doc["edge_features"], doc["edge_feature_shape"]),
-        node_mask=np.array(doc["node_mask"], dtype=np.float32),
-        edge_mask=np.array(doc["edge_mask"], dtype=np.float32).reshape(n, n),
-        has_master=doc["has_master"],
-    )

@@ -242,8 +242,10 @@ def resample_stroke(stroke, d) -> ResampledStroke:
     for _ in range(512):
         # the chords checked here are the next pass's arc steps
         seg = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
-        m = seg.mean()
-        if m <= 0 or (seg.max() - seg.min()) <= 1e-9 * m:
+        # seg.mean(), .max() and .min() without their Python wrappers; mean
+        # is this same sum over the size
+        m = np.add.reduce(seg) / seg.size
+        if m <= 0 or (np.maximum.reduce(seg) - np.minimum.reduce(seg)) <= 1e-9 * m:
             break
         x, y = _resample_once(x, y, seg, ramp, cum)
     # a transposed (d, 2) array, as before: centroid()'s mean depends on layout

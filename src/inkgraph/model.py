@@ -217,6 +217,12 @@ def edge_attention_layer(h, b, edges, params, q, config, train=False, rng=None):
 # forward
 
 
+def _read_aux(result):
+    if callable(result._aux):
+        result._aux = result._aux()
+    return result._aux
+
+
 @dataclass
 class ForwardResult:
     """Final and auxiliary logits plus per-layer attention.
@@ -225,13 +231,22 @@ class ForwardResult:
     support: (P, 2) int64 writing-order pairs (i < j, local stroke indices),
     row-major; aux: per earlier stage (node_logits, edge_logits); attention:
     per layer (num_nodes, num_nodes) arrays including the master when present.
+
+    The auxiliary classifiers only shape the training loss. A forward run
+    outside a Tape computes them on the first read of aux (and keeps them), so
+    a caller that never reads aux never runs them. That read uses the
+    parameter arrays as they are at the time, and Adam updates them in place:
+    read aux before the next optimizer step.
     """
 
     node_logits: Tensor
     edge_logits: Tensor
     support: np.ndarray
-    aux: list = field(default_factory=list)
     attention: list = field(default_factory=list)
+    # the aux list, or the function that builds it on first read
+    _aux: object = field(default_factory=list, repr=False, compare=False)
+
+    aux = property(_read_aux)
 
 
 @dataclass
@@ -242,16 +257,20 @@ class BatchResult:
     node_offsets[g]:node_offsets[g + 1] and edge rows
     edge_offsets[g]:edge_offsets[g + 1]. supports: per graph its (P, 2)
     support, as in ForwardResult; attention: per layer, one weight per
-    directed edge of the union, in edge_index order graph by graph.
+    directed edge of the union, in edge_index order graph by graph. aux is
+    computed on first read outside a Tape, with the same hazard as in
+    ForwardResult.
     """
 
     node_logits: Tensor
     edge_logits: Tensor
-    aux: list
     supports: list
     node_offsets: np.ndarray
     edge_offsets: np.ndarray
     attention: list
+    _aux: object = field(repr=False, compare=False)
+
+    aux = property(_read_aux)
 
 
 def forward(graphs, params, config, train=False, rng=None):
@@ -299,16 +318,25 @@ def forward(graphs, params, config, train=False, rng=None):
         return (_readout(f"{prefix}.node", params, node_in),
                 _readout(f"{prefix}.edge", params, edge_in))
 
-    aux = []
-    attention = []
+    def aux_readouts():
+        return [stage_readout(f"read.aux{s}", hs, bs) for s, (hs, bs) in enumerate(stages)]
+
+    # under a tape the auxiliary readouts run between the layers, as the
+    # backward's accumulation order expects; outside one they wait for the
+    # first read of .aux, from the kept stage states
+    eager = eg.tape_active()
+    aux, stages, attention = [], [], []
     h, b = h0, b0
-    if config.aux_readouts:
-        aux.append(stage_readout("read.aux0", h, b))
     for q in range(config.layers):
+        if config.aux_readouts:
+            if eager:
+                aux.append(stage_readout(f"read.aux{q}", h, b))
+            else:
+                stages.append((h, b))
         h, b, alpha = edge_attention_layer(h, b, edges, params, q, config, train, rng)
         attention.append(alpha)
-        if config.aux_readouts and q < config.layers - 1:
-            aux.append(stage_readout(f"read.aux{q + 1}", h, b))
+    if not eager:
+        aux = aux_readouts
     node_logits, edge_logits = stage_readout("read.final", h, b)
     if single:
         dense = []
@@ -317,9 +345,9 @@ def forward(graphs, params, config, train=False, rng=None):
             mat[edges] = alpha
             dense.append(mat)
         return ForwardResult(node_logits=node_logits, edge_logits=edge_logits,
-                             support=supports[0], aux=aux, attention=dense)
+                             support=supports[0], attention=dense, _aux=aux)
     return BatchResult(
-        node_logits=node_logits, edge_logits=edge_logits, aux=aux, supports=supports,
+        node_logits=node_logits, edge_logits=edge_logits, supports=supports,
         node_offsets=np.cumsum([0] + [g.num_strokes for g in graphs]),
         edge_offsets=np.cumsum([0] + [len(s) for s in supports]),
-        attention=attention)
+        attention=attention, _aux=aux)

@@ -4,9 +4,13 @@ Everything here is written from first principles (loops, sampling, brute
 force) rather than reusing library code, so agreement is evidence.
 """
 
+import base64
 import itertools
+import json
 
 import numpy as np
+
+from inkgraph.graphs import ModeledGraph
 
 
 def finite_diff_grad(f, x, eps=1e-6):
@@ -118,6 +122,65 @@ def dense_edge_logits(result):
     for k, (i, j) in enumerate(result.support):
         out[i, j] = edge_logits[k]
     return out
+
+
+def interleaved_forward(graphs, params, config):
+    """(node_logits, edge_logits, aux) of model.forward over a list of graphs,
+    with every auxiliary readout run right after its stage: the order forward
+    used for all calls before it deferred those readouts outside a tape."""
+    from inkgraph import engine as eg
+    from inkgraph import model
+
+    src, dst, edge_rows, strokes, sup_edges = [], [], [], [], []
+    node_base = edge_base = 0
+    for g in graphs:
+        off = 1 if g.has_master else 0
+        rows, cols = np.nonzero(g.adjacency)
+        src.append(rows + node_base)
+        dst.append(cols + node_base)
+        edge_rows.append(g.edge_features[rows, cols])
+        strokes.append(np.arange(node_base + off, node_base + g.num_nodes))
+        sup_edges.append(np.flatnonzero((rows >= off) & (cols > rows)) + edge_base)
+        node_base += g.num_nodes
+        edge_base += rows.size
+    edges = (np.concatenate(src), np.concatenate(dst))
+    strokes, sup_edges = np.concatenate(strokes), np.concatenate(sup_edges)
+    dtype = params["enc.out.w"].dtype
+    h0 = model.node_embed(np.concatenate([g.node_features for g in graphs]).astype(dtype), params)
+    b0 = model._edge_mlp_rows(eg.Tensor(np.concatenate(edge_rows).astype(dtype)), params)
+    h0_strokes, b0_support = eg.gather_rows(h0, strokes), eg.gather_rows(b0, sup_edges)
+
+    def readout(prefix, h, b):
+        node_in = eg.concat([eg.gather_rows(h, strokes), h0_strokes], axis=1)
+        edge_in = eg.concat([eg.gather_rows(b, sup_edges), b0_support], axis=1)
+        return (model._readout(f"{prefix}.node", params, node_in),
+                model._readout(f"{prefix}.edge", params, edge_in))
+
+    h, b, aux = h0, b0, []
+    for q in range(config.layers):
+        if config.aux_readouts:
+            aux.append(readout(f"read.aux{q}", h, b))
+        h, b, _ = model.edge_attention_layer(h, b, edges, params, q, config)
+    return (*readout("read.final", h, b), aux)
+
+
+def graph_from_json(text):
+    """The ModeledGraph of a graphs.graph_to_json dump (`build-graph` output)."""
+    doc = json.loads(text)
+
+    def unblob(b64, shape):
+        raw = base64.b64decode(b64)
+        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+
+    n = doc["n"]
+    return ModeledGraph(
+        adjacency=np.array(doc["adjacency"], dtype=np.int8).reshape(n, n),
+        node_features=unblob(doc["node_features"], doc["node_feature_shape"]),
+        edge_features=unblob(doc["edge_features"], doc["edge_feature_shape"]),
+        node_mask=np.array(doc["node_mask"], dtype=np.float32),
+        edge_mask=np.array(doc["edge_mask"], dtype=np.float32).reshape(n, n),
+        has_master=doc["has_master"],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from inkgraph.ink import parse_lg
 from inkgraph.labels import Vocabulary
 from inkgraph.synth import compose
 
+from oracles import graph_from_json
+
 CONFIG = """
 [model]
 hidden = 8
@@ -389,7 +391,6 @@ def test_build_graph_dumps_json(workdir, capsys):
     assert code == 0
     files = sorted((workdir / "bg" / "graphs").glob("*.json"))
     assert len(files) == 2
-    from inkgraph.graphs import graph_from_json
     g = graph_from_json(files[0].read_text(encoding="utf-8"))
     n = g.num_nodes
     assert g.has_master is False

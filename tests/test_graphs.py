@@ -12,8 +12,8 @@ from inkgraph.graphs import (GraphConfig, GraphError, ModeledGraph,
                              _edge_features, _target_samples,
                              add_temporal_edges, augment_global,
                              build_local_graph, convex_hull,
-                             directional_features, graph_from_json,
-                             graph_to_json, hull_centroid, line_of_sight,
+                             directional_features, graph_to_json,
+                             hull_centroid, line_of_sight,
                              split_subexpressions)
 from inkgraph.ink import (InkExpression, ResampledStroke, Stroke, normalize_expression,
                           resample_stroke)
@@ -21,8 +21,8 @@ from inkgraph.labels import (SAME_SYMBOL, AlignedLabels, LabelGraph,
                              Vocabulary, align_labels)
 from inkgraph.synth import compose, generate_synthetic
 
-from oracles import (brute_force_visibility, loop_resample_stroke, looped_edge_features,
-                     numpy_scalar_convex_hull, pair_directional_features,
+from oracles import (brute_force_visibility, graph_from_json, loop_resample_stroke,
+                     looped_edge_features, numpy_scalar_convex_hull, pair_directional_features,
                      scalar_line_of_sight)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from inkgraph import engine as eg
+from inkgraph import model as model_module
 from inkgraph.engine import Tape, Tensor, backward
 from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
                              build_local_graph, split_subexpressions)
@@ -14,7 +15,8 @@ from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, BatchResult,
                             edge_index, forward, init_parameters, node_embed)
 from inkgraph.synth import compose, generate_synthetic
 
-from oracles import dense_edge_logits, finite_diff_grad, naive_conv1d, rel_err
+from oracles import (dense_edge_logits, finite_diff_grad, interleaved_forward, naive_conv1d,
+                     rel_err)
 
 
 def _small_config(**kw):
@@ -511,6 +513,116 @@ def test_forward_end_to_end_gradients():
             got = grads[name].reshape(-1)[idx]
             # FD noise floor ~1e-9 at 64-bit dominates near-zero gradients
             assert abs(got - fd) <= 1e-4 * max(abs(fd), abs(got)) + 1e-8, (name, idx, got, fd)
+
+
+# ---------------------------------------------------------------------------
+# auxiliary readouts on demand
+
+AUX_CASES = [(master, batched) for master in (False, True) for batched in (False, True)]
+
+
+def _aux_case(master, batched):
+    """(config, params, graph or list of graphs) with three layers."""
+    rng = np.random.default_rng(17)
+    cfg = _small_config(layers=3)
+    params = init_parameters(cfg, edge_dim=7, seed=0)
+    _randomize(params, rng)
+    graphs = [_rand_graph(rng, n, edge_dim=7, master=master) for n in (5, 3, 6)]
+    return cfg, params, graphs if batched else graphs[0]
+
+
+def _readout_log(monkeypatch):
+    """The prefixes of model._readout calls from now on, in call order."""
+    calls = []
+    real = model_module._readout
+
+    def logged(prefix, params, x):
+        calls.append(prefix)
+        return real(prefix, params, x)
+
+    monkeypatch.setattr(model_module, "_readout", logged)
+    return calls
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("master,batched", AUX_CASES)
+def test_forward_outside_a_tape_runs_the_aux_readouts_on_first_read(master, batched,
+                                                                     monkeypatch):
+    cfg, params, run = _aux_case(master, batched)
+    with Tape():
+        eager = forward(run, params, cfg)
+    calls = _readout_log(monkeypatch)
+    lazy = forward(run, params, cfg)
+    assert calls == ["read.final.node", "read.final.edge"]
+
+    assert _same_bytes(lazy.node_logits.data, eager.node_logits.data)
+    assert _same_bytes(lazy.edge_logits.data, eager.edge_logits.data)
+    supports = (lazy.supports, eager.supports) if batched else ([lazy.support], [eager.support])
+    for got, want in zip(*supports, strict=True):
+        assert _same_bytes(got, want)
+    for got, want in zip(lazy.attention, eager.attention, strict=True):
+        assert _same_bytes(got, want)
+
+    aux = lazy.aux
+    assert calls[2:] == [f"read.aux{s}.{part}" for s in range(cfg.layers)
+                         for part in ("node", "edge")]
+    assert len(aux) == len(eager.aux) == cfg.layers
+    for (nl, el), (want_n, want_e) in zip(aux, eager.aux, strict=True):
+        assert _same_bytes(nl.data, want_n.data) and _same_bytes(el.data, want_e.data)
+    # built once: a second read returns the same list and runs nothing
+    again = lazy.aux
+    assert again is aux and all(x is y for x, y in zip(again, aux, strict=True))
+    assert len(calls) == 2 + 2 * cfg.layers
+
+    # scoring needs no auxiliary parameter at all
+    lean = {k: p for k, p in params.items() if not k.startswith("read.aux")}
+    scored = forward(run, lean, cfg)
+    assert _same_bytes(scored.node_logits.data, eager.node_logits.data)
+    assert _same_bytes(scored.edge_logits.data, eager.edge_logits.data)
+    with pytest.raises(KeyError, match="read.aux0"):
+        _ = scored.aux
+
+
+@pytest.mark.parametrize("master,batched", AUX_CASES)
+def test_forward_under_a_tape_runs_the_aux_readouts_between_the_layers(master, batched,
+                                                                       monkeypatch):
+    cfg, params, run = _aux_case(master, batched)
+    graphs = run if batched else [run]
+    rng = np.random.default_rng(18)
+
+    def loss_of(stages):
+        total = None
+        for nl, el in stages:
+            for logits in (nl, el):
+                term = eg.tsum(eg.mul(logits, Tensor(weights[logits.shape])))
+                total = term if total is None else eg.add(total, term)
+        return total
+
+    calls = _readout_log(monkeypatch)
+    with Tape() as tape:
+        res = forward(run, params, cfg)
+        assert len(calls) == 2 + 2 * cfg.layers  # every readout ran inside forward
+        stages = [(res.node_logits, res.edge_logits)] + res.aux
+        weights = {logits.shape: rng.standard_normal(logits.shape).astype(np.float32)
+                   for pair in stages for logits in pair}
+        loss = loss_of(stages)
+        length = len(tape)
+        grads = backward(tape, loss, params)
+    assert len(calls) == 2 + 2 * cfg.layers
+
+    with Tape() as tape:
+        node_logits, edge_logits, aux = interleaved_forward(graphs, params, cfg)
+        want_loss = loss_of([(node_logits, edge_logits)] + aux)
+        want_length = len(tape)
+        want = backward(tape, want_loss, params)
+    assert length == want_length
+    assert _same_bytes(loss.data, want_loss.data)
+    assert grads.keys() == want.keys() == params.keys()
+    for name in params:
+        assert _same_bytes(grads[name], want[name]), name
 
 
 # ---------------------------------------------------------------------------
