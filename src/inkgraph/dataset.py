@@ -1,18 +1,18 @@
 """Packed dataset container: many (ink, label graph) records in one file.
 
-Layout: magic, u64 header length, JSON header (format version, vocabulary,
-record index with byte offsets), then per-record payloads — ink serialized
-as JSON followed by the label graph in LG text form. Avoids re-parsing XML
-on every run and round-trips bit-exactly.
+Framing is container.py's. The header holds the vocabulary and each record's
+id and ink/LG byte lengths; the payload holds the records back to back, ink as
+JSON then the label graph in LG text form. Avoids re-parsing XML on every run
+and round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 
 import numpy as np
 
+from . import container
 from .ink import InkError, InkExpression, Stroke, parse_lg
 from .labels import LabelError, Vocabulary, serialize_lg
 
@@ -41,7 +41,7 @@ def _ink_from_json(text):
 def write_dataset(path, pairs, vocab):
     """Write (InkExpression, LabelGraph) pairs; record ids must be unique."""
     records = []
-    payload = bytearray()
+    chunks = []
     seen = set()
     for expr, lg in pairs:
         if expr.id in seen:
@@ -49,65 +49,39 @@ def write_dataset(path, pairs, vocab):
         seen.add(expr.id)
         ink = _ink_to_json(expr).encode("utf-8")
         lg_text = serialize_lg(lg).encode("utf-8")
-        records.append({"id": expr.id, "offset": len(payload),
-                        "ink_len": len(ink), "lg_len": len(lg_text)})
-        payload += ink + lg_text
-    header = json.dumps({
-        "format_version": 1,
-        "vocabulary": vocab.to_dict(),
-        "records": records,
-    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        f.write(bytes(payload))
+        records.append({"id": expr.id, "ink_len": len(ink), "lg_len": len(lg_text)})
+        chunks += (ink, lg_text)
+    container.write(path, DATASET_MAGIC,
+                    {"vocabulary": vocab.to_dict(), "records": records}, chunks)
 
 
 def read_dataset(path):
     """Load a packed file -> (list of (InkExpression, LabelGraph), Vocabulary).
 
-    A truncated or corrupt file raises DatasetError naming the file.
+    A truncated, corrupt or version-1 file raises DatasetError naming the file.
     """
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DatasetError(f"cannot read dataset {path}: {e}") from None
-    if blob[:8] != DATASET_MAGIC:
-        raise DatasetError(f"{path}: not a packed dataset (bad magic)")
-    if len(blob) < 16:
-        raise DatasetError(f"{path}: truncated dataset (no header length)")
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
-    base = 16 + hlen
-    if base > len(blob):
-        raise DatasetError(f"{path}: dataset header runs past the end of the file")
-    try:
-        header = json.loads(blob[16:base].decode("utf-8"))
-    except ValueError as e:  # also UnicodeDecodeError and JSONDecodeError
-        raise DatasetError(f"{path}: corrupt header: {e}") from None
-    if not isinstance(header, dict):
-        raise DatasetError(f"{path}: dataset header is not an object")
-    missing = sorted({"format_version", "vocabulary", "records"} - header.keys())
+    header, payload = container.read(path, DATASET_MAGIC, DatasetError, "dataset")
+    missing = sorted({"vocabulary", "records"} - header.keys())
     if missing:
         raise DatasetError(f"{path}: dataset header lacks {', '.join(missing)}")
-    if header["format_version"] != 1:
-        raise DatasetError(f"{path}: unsupported format version")
     try:
         vocab = Vocabulary.from_dict(header["vocabulary"])
     except (LabelError, KeyError, TypeError, ValueError) as e:
         raise DatasetError(f"{path}: bad vocabulary in header: {e}") from None
     pairs = []
+    start = 0
     try:
         for rec in header["records"]:
-            start = base + rec["offset"]
             ink_end = start + rec["ink_len"]
             lg_end = ink_end + rec["lg_len"]
-            if not base <= start <= ink_end <= lg_end <= len(blob):
-                raise DatasetError(f"{path}: record {rec['id']!r} exceeds file size")
-            expr = _ink_from_json(blob[start:ink_end].decode("utf-8"))
-            lg = parse_lg(blob[ink_end:lg_end].decode("utf-8"))
+            if not start <= ink_end <= lg_end <= len(payload):
+                raise DatasetError(f"{path}: record {rec['id']!r} runs past the payload")
+            expr = _ink_from_json(payload[start:ink_end].decode("utf-8"))
+            lg = parse_lg(payload[ink_end:lg_end].decode("utf-8"))
             pairs.append((expr, lg))
+            start = lg_end
     except (InkError, LabelError, KeyError, TypeError, ValueError) as e:
         raise DatasetError(f"{path}: corrupt record: {type(e).__name__}: {e}") from None
+    if start != len(payload):
+        raise DatasetError(f"{path}: records cover {start} of {len(payload)} payload bytes")
     return pairs, vocab

@@ -7,15 +7,13 @@ Ops are plain functions so the gradient-check suite can enumerate them.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import struct
 
 import numpy as np
 
+from . import container
+
 CHECKPOINT_MAGIC = b"INKGRPH1"
-CHECKPOINT_VERSION = 1
 
 
 class EngineError(Exception):
@@ -907,68 +905,42 @@ class PlateauScheduler:
 
 def save_checkpoint(path, params, vocabulary=None, model_config=None,
                     train_config=None, graph_config=None):
-    """Write a self-describing container: magic, header length, JSON header, raw buffers.
+    """Write configs and tensors to a checkpoint (framing: container.py); round-trips bit-exactly.
 
-    Buffers are little-endian, C order, in header entry order; round-trips bit-exactly.
-    """
-    entries = []
-    blobs = []
+    Tensors are streamed little-endian, C order, back to back in header entry order."""
+    arrays = {}
     for name, p in params.items():
-        arr = p.data if isinstance(p, Tensor) else np.asarray(p)
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)})
-        blobs.append(le.tobytes(order="C"))
-    header = {
-        "format_version": CHECKPOINT_VERSION,
+        a = p.data if isinstance(p, Tensor) else np.asarray(p)
+        arrays[name] = np.asarray(a, a.dtype.newbyteorder("<"), order="C")
+    container.write(path, CHECKPOINT_MAGIC, {
         "vocabulary": vocabulary,
         "model_config": model_config,
         "train_config": train_config,
         "graph_config": graph_config,
-        "tensors": entries,
-    }
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(raw)))
-        fh.write(raw)
-        for blob in blobs:
-            fh.write(blob)
+        "tensors": [{"name": name, "shape": list(a.shape), "dtype": str(a.dtype)}
+                    for name, a in arrays.items()],
+    }, arrays.values())
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns the header dict plus 'params' (name -> ndarray).
 
-    A truncated or corrupt file raises EngineError naming the file.
+    The arrays are views into one payload buffer. A truncated, corrupt or
+    version-1 file raises EngineError naming the file.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise EngineError(f"{path}: not a checkpoint file")
-        size = os.fstat(fh.fileno()).st_size
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise EngineError(f"{path}: truncated checkpoint (no header length)")
-        (hlen,) = struct.unpack("<Q", raw)
-        if hlen > size - fh.tell():
-            raise EngineError(f"{path}: checkpoint header runs past the end of the file")
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except ValueError as e:  # also UnicodeDecodeError and JSONDecodeError
-            raise EngineError(f"{path}: corrupt checkpoint header: {e}") from None
-        if not isinstance(header, dict):
-            raise EngineError(f"{path}: checkpoint header is not an object")
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise EngineError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
-        if not isinstance(header.get("tensors"), list):
-            raise EngineError(f"{path}: checkpoint header has no tensor list")
-        params = {}
-        for ent in header["tensors"]:
-            name, dt, shape = _tensor_entry(path, ent)
-            nbytes = math.prod(shape) * dt.itemsize
-            if nbytes > size - fh.tell():
-                raise EngineError(f"{path}: tensor {name!r} runs past the end of the file")
-            arr = np.frombuffer(fh.read(nbytes), dtype=dt.newbyteorder("<")).reshape(shape)
-            params[name] = arr.astype(dt, copy=True)
+    header, payload = container.read(path, CHECKPOINT_MAGIC, EngineError, "checkpoint")
+    if not isinstance(header.get("tensors"), list):
+        raise EngineError(f"{path}: checkpoint header has no tensor list")
+    entries = [_tensor_entry(path, ent) for ent in header["tensors"]]
+    total = sum(math.prod(shape) * dt.itemsize for _, dt, shape in entries)
+    if total != len(payload):
+        raise EngineError(f"{path}: tensors cover {total} of {len(payload)} payload bytes")
+    params = {}
+    offset = 0
+    for name, dt, shape in entries:
+        arr = np.frombuffer(payload, dt.newbyteorder("<"), math.prod(shape), offset)
+        params[name] = arr.reshape(shape).astype(dt, copy=False)
+        offset += arr.nbytes
     header["params"] = params
     return header
 

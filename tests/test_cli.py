@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from inkgraph import container
 from inkgraph.cli import main
-from inkgraph.dataset import read_dataset, write_dataset
+from inkgraph.dataset import DATASET_MAGIC, DatasetError, read_dataset, write_dataset
 from inkgraph.engine import load_checkpoint, save_checkpoint
 from inkgraph.ink import parse_lg
 from inkgraph.labels import Vocabulary
@@ -197,14 +198,10 @@ def test_foreign_relation_list_exits_2(workdir, capsys):
     # label graphs and chunk masking fix the relation classes and their ids, so
     # a header naming other relations is refused instead of trained on
     data = _synth(workdir, capsys, count=2) / "dataset.bin"
-    blob = data.read_bytes()
-    hlen = int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16:16 + hlen])
-    relations = header["vocabulary"]["relations"] + ["Extra"]
-    header["vocabulary"]["relations"] = relations
-    text = json.dumps(header).encode("utf-8")
+    header, payload = container.read(data, DATASET_MAGIC, DatasetError, "dataset")
+    header["vocabulary"]["relations"] += ["Extra"]
     bad = workdir / "extra.bin"
-    bad.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text + blob[16 + hlen:])
+    container.write(bad, DATASET_MAGIC, header, [payload])
     save_checkpoint(workdir / "extra.ckpt", {}, vocabulary=header["vocabulary"],
                     model_config={}, graph_config={})
     for name, argv in (("extra.bin", ["train", "--data", str(bad),
