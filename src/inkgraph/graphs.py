@@ -16,6 +16,8 @@ import numpy as np
 
 from .ink import ResampledStroke, normalize_expression, resample_stroke
 
+_EPS = np.finfo(np.float64).eps
+
 
 class GraphError(Exception):
     pass
@@ -104,11 +106,18 @@ class ModeledGraph:
 def convex_hull(points):
     """Andrew monotone chain; returns hull vertices counter-clockwise.
 
-    Degenerate inputs give 1 (point) or 2 (segment) vertices.
+    Degenerate inputs give 1 (point) or 2 (segment) vertices, and no points
+    give none.
     """
-    # rows come back sorted by x, then y, with no two equal
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
-    if pts.shape[0] == 1:
+    # rows sorted by x, then y, each row dropped that equals the one before
+    # (as values: -0.0 equals 0.0); the sort is stable, so the first of equal
+    # rows in input order stays
+    pts = np.asarray(points, dtype=np.float64)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    fresh = np.ones(pts.shape[0], dtype=bool)
+    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[fresh]
+    if pts.shape[0] <= 1:
         return pts
     # Python floats are IEEE doubles: the chain does the same arithmetic as on
     # NumPy scalars, several times faster
@@ -118,16 +127,20 @@ def convex_hull(points):
 
 def _half_hull(pts):
     """One monotone chain over sorted pts, popping non-left turns; the two
-    ends are the first and last point, so collinear input keeps both."""
-    chain = []
-    for p in pts:
+    ends are the first and last point, so collinear input keeps both. The
+    chain's top point is kept in locals as well as in the list."""
+    chain = pts[:1]
+    ax, ay = pts[0]
+    for p in pts[1:]:
         px, py = p
         while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            ox, oy = chain[-2]
             if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
                 break
             chain.pop()
+            ax, ay = ox, oy
         chain.append(p)
+        ax, ay = px, py
     return chain
 
 
@@ -181,61 +194,150 @@ def line_of_sight(strokes):
     """Visibility adjacency: i sees j when some ray from hull(i)'s centroid to a
     vertex of hull(j) clears every other stroke's hull. Symmetrized by OR.
 
-    Per source stroke, one Cyrus-Beck pass clips all its rays against the edges
-    of every polygon hull at once. A ray is blocked when its parameter interval
-    [t0, t1], clipped against the hull's edge half-planes, keeps a length above
-    1e-9. Segment hulls (exactly collinear strokes) block by crossing; point
+    Every ray is built once. Each polygon hull k then clips, by Cyrus-Beck,
+    only the rays not yet blocked whose bounding box meets k's bounding box
+    grown by a margin. A ray is blocked when its parameter interval [t0, t1],
+    clipped against the hull's edge half-planes, keeps a length above 1e-9.
+    Segment hulls (exactly collinear strokes) then block by crossing; point
     hulls block nothing.
+
+    The cull drops no hit. Per edge, the rounding of num - t * denom, read as
+    a distance from the edge's line, is below h = 32 * eps * S + 1e-15 / l:
+    S is the largest coordinate magnitude in the scene, l the hull's
+    shortest edge, and the second term is the parallel threshold. So a ray
+    the clip counts as a hit has a point inside every edge half-plane pushed
+    out by h. Those half-planes meet within h / sin(phi / 2) of the hull,
+    phi being its sharpest corner; the margin is four times that. A sliver
+    hull (phi near 0) gets no finite margin and so meets every ray. Before
+    the full clip, each hull clips its selection against the two edges at
+    its sharpest corner alone. That is exact too: fewer edges can only raise
+    t1 and lower t0, so a ray those two edges pass is no hit of the hull.
+    Segment hulls are not culled: their test compares products of cross
+    products with an absolute 1e-9, which has no bound in the scene's scale.
     """
     n = len(strokes)
     vis = np.zeros((n, n), dtype=np.int8)
     if n < 2:
         return vis
     hulls = [convex_hull(s.coords.T) for s in strokes]
-    centers = [hull_centroid(h) for h in hulls]
+    centers = np.array([hull_centroid(h) for h in hulls])
     vertices = np.concatenate(hulls)
-    vertex_owner = np.repeat(np.arange(n), [h.shape[0] for h in hulls])
-    polygons = np.array([k for k in range(n) if hulls[k].shape[0] >= 3], dtype=np.int64)
-    segments = [k for k in range(n) if hulls[k].shape[0] == 2]
-    if polygons.size:
-        # every polygon edge a->b in one flat array; inside is left of a->b
-        a = np.concatenate([hulls[k] for k in polygons])
-        b = np.concatenate([np.roll(hulls[k], -1, axis=0) for k in polygons])
-        nx, ny = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]  # outward normals
-        starts = np.cumsum([0] + [hulls[k].shape[0] for k in polygons[:-1]])
-    for i in range(n):
-        # rays to every vertex of every target not yet known to see i
-        rows = (vertex_owner != i) & (vis[i, vertex_owner] == 0)
-        if not rows.any():
-            continue
-        p, q, owner = centers[i], vertices[rows], vertex_owner[rows]
-        d = q - p
-        blocked = np.zeros(q.shape[0], dtype=bool)
-        if polygons.size:
-            denom = nx * d[:, :1] + ny * d[:, 1:]  # (rays, edges)
-            num = nx * (a[:, 0] - p[0]) + ny * (a[:, 1] - p[1])
-            parallel = np.abs(denom) < 1e-15
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = num / denom
-            # clip [0, 1] against every edge: entering edges raise t0, leaving
-            # edges lower t1; min and max are exact, so edge order is moot
-            t1 = np.minimum(np.minimum.reduceat(
-                np.where(denom >= 1e-15, t, 1.0), starts, axis=1), 1.0)
-            t0 = np.maximum(np.maximum.reduceat(
-                np.where(denom <= -1e-15, t, 0.0), starts, axis=1), 0.0)
-            outside = np.logical_or.reduceat(parallel & (num < 0), starts, axis=1)
-            seg_len = np.hypot(d[:, 0], d[:, 1])
-            hit = ~outside & ((t1 - t0) * seg_len[:, None] > 1e-9)
-            hit &= (polygons != i) & (polygons != owner[:, None])
-            blocked = hit.any(axis=1)
-        for k in segments:
-            if k != i:
-                for r in np.nonzero(~blocked & (owner != k))[0]:
-                    blocked[r] = _ray_crosses_segment(p, q[r], hulls[k])
-        seen = np.unique(owner[~blocked])
-        vis[i, seen] = 1
-        vis[seen, i] = 1
-    return vis
+    owner = np.repeat(np.arange(n), [h.shape[0] for h in hulls])
+    # every ray: from a source centroid p to each vertex q of another hull
+    src, row = np.nonzero(owner != np.arange(n)[:, None])
+    tgt = owner[row]
+    p, q = centers[src].T, vertices[row].T
+    d = q - p
+    seg_len = np.hypot(d[0], d[1])
+    # the rays not yet blocked, and their bounding boxes (lo_x, lo_y, hi_x, hi_y)
+    alive = np.arange(src.size)
+    box = np.concatenate([np.minimum(p, q), np.maximum(p, q)])
+    polygons = [k for k in range(n) if hulls[k].shape[0] >= 3]
+    if polygons:
+        scale = max(np.abs(vertices).max(), np.abs(centers).max())
+        a, nx, ny, spans, corners, bounds = _polygon_edges([hulls[k] for k in polygons], scale)
+        # num of every edge against every source centroid, as the clip forms it
+        num = nx[:, None] * (a[:, :1] - centers[:, 0]) + ny[:, None] * (a[:, 1:] - centers[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel edges in _clip_hits
+        for r, k in enumerate(polygons):
+            lo_x, lo_y, hi_x, hi_y = bounds[r]
+            near = box[0] <= hi_x
+            near &= box[1] <= hi_y
+            near &= box[2] >= lo_x
+            near &= box[3] >= lo_y
+            sel = np.flatnonzero(near)
+            ids = alive[sel]
+            mine = (src[ids] != k) & (tgt[ids] != k)
+            sel, ids = sel[mine], ids[mine]
+            # the two edges at the sharpest corner, then all of the hull's edges
+            for e in (corners[r], spans[r]):
+                if sel.size:
+                    hit = _clip_hits(num[e], nx[e], ny[e], src[ids], d[:, ids], seg_len[ids])
+                    sel, ids = sel[hit], ids[hit]
+            if sel.size:
+                live = np.ones(alive.size, dtype=bool)
+                live[sel] = False
+                alive, box = alive[live], box[:, live]
+    for k in range(n):
+        if hulls[k].shape[0] == 2:
+            ids = alive[(src[alive] != k) & (tgt[alive] != k)]
+            hit = _segment_hits(p[:, ids], q[:, ids], d[:, ids], hulls[k])
+            alive = np.setdiff1d(alive, ids[hit], assume_unique=True)
+    vis[src[alive], tgt[alive]] = 1
+    return vis | vis.T
+
+
+def _polygon_edges(hulls, scale):
+    """The edges of CCW polygon hulls, flat: start points a and outward
+    normals (nx, ny); then per hull its edge slice, the indices of the two
+    edges at its sharpest corner, and its bounding box (lo_x, lo_y, hi_x,
+    hi_y) grown by the margin line_of_sight's docstring derives."""
+    sizes = np.array([h.shape[0] for h in hulls])
+    starts = np.cumsum(sizes) - sizes
+    a = np.concatenate(hulls)
+    # each edge's successor and predecessor within its own hull
+    succ, prev = np.arange(1, a.shape[0] + 1), np.arange(-1, a.shape[0] - 1)
+    succ[starts + sizes - 1] -= sizes
+    prev[starts] += sizes
+    b = a[succ]
+    nx, ny = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]  # inside is left of a->b
+    length = np.hypot(nx, ny)
+    # |u_prev + u| / 2 = sin(phi / 2) at the corner that edge u leaves
+    ux, uy = nx / length, ny / length
+    half_sin = np.hypot(ux + ux[prev], uy + uy[prev]) / 2
+    sin_lo = np.minimum.reduceat(half_sin, starts) - 1e-15
+    h = 32 * _EPS * scale + 1e-15 / np.minimum.reduceat(length, starts)
+    with np.errstate(divide="ignore"):
+        margin = np.where(sin_lo > 0, 4 * h / sin_lo, np.inf)[:, None]
+    spans = [slice(s, s + m) for s, m in zip(starts, sizes)]
+    corners = [s.start + int(half_sin[s].argmin()) for s in spans]
+    bounds = np.concatenate([np.minimum.reduceat(a, starts) - margin,
+                             np.maximum.reduceat(a, starts) + margin], axis=1)
+    return a, nx, ny, spans, [[prev[c], c] for c in corners], bounds
+
+
+def _clip_hits(num, nx, ny, src, d, seg_len):
+    """Cyrus-Beck verdicts of rays against edges with outward normals (nx, ny):
+    True where the ray keeps a length above 1e-9 inside every edge's
+    half-plane. num is (edges, sources), src each ray's source, d (2, rays)
+    and seg_len its direction and length. Rays go in blocks of at most 2**16
+    (edge, ray) pairs, so memory stays flat on hulls of many edges. min and
+    max are exact, so edge order is moot. Parallel edges divide by zero or
+    near it; their t is never read, and callers silence the warnings."""
+    hit = np.empty(src.size, dtype=bool)
+    step = max(1, 2**16 // nx.size)
+    for lo in range(0, src.size, step):
+        s = slice(lo, lo + step)
+        block = num[:, src[s]]
+        denom = nx[:, None] * d[0, s] + ny[:, None] * d[1, s]
+        parallel = np.abs(denom) < 1e-15
+        t = block / denom
+        # clip [0, 1]: entering edges raise t0, leaving edges lower t1
+        t1 = np.minimum(np.where(denom >= 1e-15, t, 1.0).min(axis=0), 1.0)
+        t0 = np.maximum(np.where(denom <= -1e-15, t, 0.0).max(axis=0), 0.0)
+        outside = (parallel & (block < 0)).any(axis=0)
+        hit[s] = ~outside & ((t1 - t0) * seg_len[s] > 1e-9)
+    return hit
+
+
+def _segment_hits(p, q, d, hull, eps=1e-9):
+    """_ray_crosses_segment over (2, rays) arrays, with its float operations.
+    The few rays that reach its collinear-overlap branch take the scalar call,
+    whose np.dot may round unlike a written-out sum."""
+    (ax, ay), (bx, by) = hull
+    ex, ey = bx - ax, by - ay
+    cross_pa = d[0] * (ay - p[1]) - d[1] * (ax - p[0])
+    cross_pb = d[0] * (by - p[1]) - d[1] * (bx - p[0])
+    cross_ap = ex * (p[1] - ay) - ey * (p[0] - ax)
+    cross_aq = ex * (q[1] - ay) - ey * (q[0] - ax)
+    valid = ~(np.hypot(d[0], d[1]) <= eps)
+    hit = valid & (cross_pa * cross_pb < -eps) & (cross_ap * cross_aq < -eps)
+    hull_len = float(np.hypot(ex, ey))
+    if hull_len > eps:
+        lim = eps * hull_len
+        for r in np.flatnonzero(valid & ~hit & (np.abs(cross_ap) <= lim) & (np.abs(cross_aq) <= lim)):
+            hit[r] = _ray_crosses_segment(p[:, r], q[:, r], hull)
+    return hit
 
 
 def add_temporal_edges(adjacency):

@@ -258,14 +258,19 @@ def resample_stroke(stroke, d) -> ResampledStroke:
 
 def normalize_expression(expression) -> InkExpression:
     """Center the expression at its point centroid and set the mean stroke
-    bounding-box diagonal to 1 (dots count as diagonal 0; all-dots scale is 1)."""
+    bounding-box diagonal to 1 (dots count as diagonal 0; all-dots scale is 1).
+
+    Finite coordinates can still overflow float64 on the way (a center, a
+    diagonal or a normalized point); that raises InkError naming the expression.
+    """
     all_pts = np.concatenate([s.points for s in expression.strokes], axis=0)
-    center = all_pts.mean(axis=0)
-    diags = [s.bbox_diagonal() for s in expression.strokes]
-    mean_diag = float(np.mean(diags))
-    scl = mean_diag if mean_diag > 0 else 1.0
-    strokes = [
-        Stroke(points=(s.points - center) / scl, index=s.index)
-        for s in expression.strokes
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = all_pts.mean(axis=0)
+        mean_diag = float(np.mean([s.bbox_diagonal() for s in expression.strokes]))
+        scl = mean_diag if mean_diag > 0 else 1.0
+        points = [(s.points - center) / scl for s in expression.strokes]
+    if not (np.isfinite(scl) and all(np.isfinite(p).all() for p in points)):
+        raise InkError(f"expression {expression.id!r}: ink extent overflows float64 "
+                       f"(center {center.tolist()}, scale {scl:g})")
+    strokes = [Stroke(points=p, index=s.index) for p, s in zip(points, expression.strokes)]
     return InkExpression(id=expression.id, strokes=strokes, annotation=expression.annotation)

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from inkgraph.graphs import ModeledGraph
+from inkgraph.graphs import ModeledGraph, _ray_crosses_segment, convex_hull, hull_centroid
 
 
 def finite_diff_grad(f, x, eps=1e-6):
@@ -489,6 +489,70 @@ def scalar_line_of_sight(strokes):
     out = np.maximum(vis, vis.T)
     np.fill_diagonal(out, 0)
     return out
+
+
+def per_source_line_of_sight(strokes):
+    """graphs.line_of_sight as one dense pass per source stroke: an exact
+    oracle for the per-occluder culled pass, with the same clip arithmetic.
+
+    Visibility adjacency: i sees j when some ray from hull(i)'s centroid to a
+    vertex of hull(j) clears every other stroke's hull. Symmetrized by OR.
+
+    Per source stroke, one Cyrus-Beck pass clips all its rays against the edges
+    of every polygon hull at once. A ray is blocked when its parameter interval
+    [t0, t1], clipped against the hull's edge half-planes, keeps a length above
+    1e-9. Segment hulls (exactly collinear strokes) block by crossing; point
+    hulls block nothing.
+    """
+    n = len(strokes)
+    vis = np.zeros((n, n), dtype=np.int8)
+    if n < 2:
+        return vis
+    hulls = [convex_hull(s.coords.T) for s in strokes]
+    centers = [hull_centroid(h) for h in hulls]
+    vertices = np.concatenate(hulls)
+    vertex_owner = np.repeat(np.arange(n), [h.shape[0] for h in hulls])
+    polygons = np.array([k for k in range(n) if hulls[k].shape[0] >= 3], dtype=np.int64)
+    segments = [k for k in range(n) if hulls[k].shape[0] == 2]
+    if polygons.size:
+        # every polygon edge a->b in one flat array; inside is left of a->b
+        a = np.concatenate([hulls[k] for k in polygons])
+        b = np.concatenate([np.roll(hulls[k], -1, axis=0) for k in polygons])
+        nx, ny = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]  # outward normals
+        starts = np.cumsum([0] + [hulls[k].shape[0] for k in polygons[:-1]])
+    for i in range(n):
+        # rays to every vertex of every target not yet known to see i
+        rows = (vertex_owner != i) & (vis[i, vertex_owner] == 0)
+        if not rows.any():
+            continue
+        p, q, owner = centers[i], vertices[rows], vertex_owner[rows]
+        d = q - p
+        blocked = np.zeros(q.shape[0], dtype=bool)
+        if polygons.size:
+            denom = nx * d[:, :1] + ny * d[:, 1:]  # (rays, edges)
+            num = nx * (a[:, 0] - p[0]) + ny * (a[:, 1] - p[1])
+            parallel = np.abs(denom) < 1e-15
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = num / denom
+            # clip [0, 1] against every edge: entering edges raise t0, leaving
+            # edges lower t1; min and max are exact, so edge order is moot
+            t1 = np.minimum(np.minimum.reduceat(
+                np.where(denom >= 1e-15, t, 1.0), starts, axis=1), 1.0)
+            t0 = np.maximum(np.maximum.reduceat(
+                np.where(denom <= -1e-15, t, 0.0), starts, axis=1), 0.0)
+            outside = np.logical_or.reduceat(parallel & (num < 0), starts, axis=1)
+            seg_len = np.hypot(d[:, 0], d[:, 1])
+            hit = ~outside & ((t1 - t0) * seg_len[:, None] > 1e-9)
+            hit &= (polygons != i) & (polygons != owner[:, None])
+            blocked = hit.any(axis=1)
+        for k in segments:
+            if k != i:
+                for r in np.nonzero(~blocked & (owner != k))[0]:
+                    blocked[r] = _ray_crosses_segment(p, q[r], hulls[k])
+        seen = np.unique(owner[~blocked])
+        vis[i, seen] = 1
+        vis[seen, i] = 1
+    return vis
 
 
 # ---------------------------------------------------------------------------

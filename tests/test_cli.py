@@ -5,6 +5,7 @@ byte-identical reruns."""
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,29 @@ def test_ingest_rejects_stroke_count_mismatch(workdir, capsys):
                          str(workdir / "packed")], capsys)
     assert code == 2
     assert "2 strokes but label graph declares 3" in err
+
+
+@pytest.mark.parametrize("trace", ["1e308 0, -1e308 1", "1e308 0, 1.5e308 1"],
+                         ids=["scale-overflows", "center-overflows"])
+def test_build_graph_refuses_ink_whose_extent_overflows(workdir, capsys, trace):
+    # finite coordinates whose span (first) or sum (second) overflows float64
+    raw = workdir / "raw"
+    raw.mkdir()
+    (raw / "huge.inkml").write_text(
+        '<ink><annotation type="UI">huge_expr</annotation>'
+        f"<trace>{trace}</trace></ink>", encoding="utf-8")
+    (raw / "huge.lg").write_text("N, s0, x, 1.0\n", encoding="utf-8")
+    code, _, err = _run(["ingest", "--data", str(raw), "--out", str(workdir / "packed")], capsys)
+    assert code == 0, err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked RuntimeWarning fails the test
+        code, _, err = _run(["build-graph", "--data", str(workdir / "packed"),
+                             "--out", str(workdir / "bg"), "--config", str(workdir / "run.cfg")],
+                            capsys)
+    assert code == 2
+    assert "expression 'huge_expr': ink extent overflows float64" in err, err
+    assert "non-finite" not in err and "Traceback" not in err, err
+    assert not list((workdir / "bg").glob("graphs/*.json"))
 
 
 def test_build_graph_dumps_json(workdir, capsys):

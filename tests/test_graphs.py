@@ -3,6 +3,7 @@ features, master-node augmentation, chunking, and JSON serialization."""
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from inkgraph.synth import compose, generate_synthetic
 
 from oracles import (brute_force_visibility, graph_from_json, loop_resample_stroke,
                      looped_edge_features, numpy_scalar_convex_hull, pair_directional_features,
-                     scalar_line_of_sight)
+                     per_source_line_of_sight, scalar_line_of_sight)
 
 
 def _resampled(expr, d_n):
@@ -202,6 +203,142 @@ def test_line_of_sight_matches_scalar_oracle_exactly():
     scenes = [_resampled(expr, 24) for expr in scenes] + [_resampled(expr, 150) for expr in long]
     for k, strokes in enumerate(scenes):
         assert np.array_equal(line_of_sight(strokes), scalar_line_of_sight(strokes)), k
+
+
+def _arc(cx, cy, r, lo, hi, d=150):
+    """A round stroke: the circular arc from angle lo to hi, resampled."""
+    t = np.linspace(lo, hi, 64)
+    return _rs(np.stack([cx + r * np.cos(t), cy + r * np.sin(t)], axis=1), d=d)
+
+
+def _round_scene(count, seed):
+    """count closed round strokes (hulls of about 150 vertices) on a jittered
+    grid, near enough to hide one another."""
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(np.sqrt(count)))
+    return [_arc(*(np.array(divmod(k, side)) * 1.1 + rng.uniform(-0.15, 0.15, 2)),
+                 rng.uniform(0.3, 0.55), 0.0, 2 * np.pi) for k in range(count)]
+
+
+def _bars_and_arcs(bars, arcs):
+    """Horizontal bars with integer tablet coordinates (segment hulls), with
+    open arcs (polygon hulls) in rows of four between them."""
+    strokes = [_rs([[0.0, 4.0 * y], [12.0, 4.0 * y]], d=150) for y in range(bars)]
+    strokes += [_arc(1.5 + 3.0 * (k % 4), 2.0 + 4.0 * (k // 4), 1.0, 0.3, 2 * np.pi - 0.3)
+                for k in range(arcs)]
+    return strokes
+
+
+def _dot(x, y):
+    return ResampledStroke(coords=np.array([[x, x], [y, y]]))
+
+
+def _grazing_scenes():
+    """Rays that touch, graze or just miss a unit square's bounding box, so
+    the cull's margin decides whether the square clips them at all; and rays
+    along the line of slanted straight strokes, whose hulls are slivers."""
+    square = ResampledStroke(coords=np.array([[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]]))
+    scenes = {}
+    for delta in (-1e-9, -1e-15, 0.0, 5e-324, 1e-16, 2.3e-16, 1e-15, 1e-13, 1e-9):
+        scenes[f"along the top, {delta:g} above"] = [square, _dot(-1.0, 1.0 + delta),
+                                                     _dot(2.0, 1.0 + delta)]
+        scenes[f"ends {delta:g} short of the side"] = [square, _dot(-2.0, 0.5), _dot(-delta, 0.5)]
+        scenes[f"past the corner, {delta:g} out"] = [square, _dot(0.0, 2.0 + delta),
+                                                      _dot(2.0, delta)]
+    # three slanted straight strokes on one line: slivers, whose clip
+    # reads rounding along that line, so they get no finite margin
+    scenes["collinear slivers"] = [_rs([[x, 0.3 * x], [x + 1.0, 0.3 * x + 0.3]], d=150)
+                                   for x in (0.0, 2.0, 4.0)]
+    scenes["collinear slivers and dots"] = scenes["collinear slivers"] + [
+        _dot(-1.0, -0.3), _dot(6.0, 1.8), _dot(1.5, 0.45)]
+    return scenes
+
+
+@functools.lru_cache(maxsize=None)
+def _long_expression_strokes():
+    """A 53-stroke synthetic expression, normalized and resampled at d 150."""
+    expr, _ = generate_synthetic(24, 5, 64)[4]
+    assert expr.num_strokes == 53
+    return _resampled(expr, 150)
+
+
+def _check_against_oracles(name, strokes):
+    vis = line_of_sight(strokes)
+    assert np.array_equal(vis, per_source_line_of_sight(strokes)), name
+    if len(strokes) <= 8:
+        assert np.array_equal(vis, scalar_line_of_sight(strokes)), name
+    return vis
+
+
+def test_line_of_sight_matches_oracles_on_grazing_rays_and_slivers():
+    scenes = _grazing_scenes()
+    for name, strokes in scenes.items():
+        _check_against_oracles(name, strokes)
+    # the rays that clearly miss see, the ones that clearly enter are blocked
+    for delta, want in ((1e-9, 1), (-1e-9, 0)):
+        for where in (f"along the top, {delta:g} above", f"past the corner, {delta:g} out"):
+            assert line_of_sight(scenes[where])[1, 2] == want, where
+    assert line_of_sight(scenes["ends 1e-09 short of the side"])[1, 2] == 1
+    # the straight slanted strokes are polygon hulls with a corner below the
+    # margin's resolution, not segments
+    hulls = [convex_hull(s.coords.T) for s in scenes["collinear slivers"]]
+    assert all(h.shape[0] >= 3 for h in hulls)
+    # so the slivers' boxes cover the whole scene, while the square's grows by
+    # a margin above zero: the 1e-13 offsets above fall inside it, 1e-9 outside
+    square = convex_hull(scenes["along the top, 0 above"][0].coords.T)
+    bounds = graphs_module._polygon_edges(hulls + [square], 5.0)[-1]
+    assert np.all(np.abs(bounds[:3]) > 100.0), bounds
+    margin = (bounds[3] - [0.0, 0.0, 1.0, 1.0]) * [-1, -1, 1, 1]
+    assert np.all((margin > 1e-13) & (margin < 1e-12)), margin
+
+
+def test_line_of_sight_matches_oracles_on_round_strokes_and_bars():
+    round_strokes = _round_scene(16, 0)
+    assert min(convex_hull(s.coords.T).shape[0] for s in round_strokes) >= 120
+    bars = _bars_and_arcs(4, 8)
+    assert [convex_hull(s.coords.T).shape[0] for s in bars[:4]] == [2] * 4
+    assert min(convex_hull(s.coords.T).shape[0] for s in bars[4:]) >= 60
+    for name, strokes in (("16 round", round_strokes), ("4 bars, 8 arcs", bars),
+                          ("2 bars, 4 arcs", _bars_and_arcs(2, 4)),
+                          ("6 round", _round_scene(6, 1))):
+        vis = _check_against_oracles(name, strokes)
+        assert 0 < vis.sum() < len(strokes) * (len(strokes) - 1), name  # some hidden
+
+
+def test_line_of_sight_matches_per_source_oracle_on_the_recognize_pool():
+    # a seeded sample of the expressions recognize draws from, redrawn with pen
+    # noise, plus one expression of 53 strokes
+    pool = generate_synthetic(0, 1500, 16)
+    rng = np.random.default_rng(15)
+    for k in rng.choice(len(pool), size=40, replace=False):
+        expr = pool[k][0]
+        strokes = [Stroke(s.points + rng.normal(0.0, 0.01, s.points.shape), index=s.index)
+                   for s in expr.strokes]
+        strokes = _resampled(InkExpression(id=expr.id, strokes=strokes), 150)
+        vis = line_of_sight(strokes)
+        assert np.array_equal(vis, per_source_line_of_sight(strokes)), k
+        if len(strokes) <= 4:
+            assert np.array_equal(vis, scalar_line_of_sight(strokes)), k
+    strokes = _long_expression_strokes()
+    assert np.array_equal(line_of_sight(strokes), per_source_line_of_sight(strokes))
+
+
+# traced peak of line_of_sight on the 53-stroke expression: 45.2 MB for the
+# per-source dense pass, 12.7 MB for the per-occluder pass (NumPy 2.4, x86-64)
+PEAK_BOUND_MB = 20
+
+
+def test_line_of_sight_memory_stays_below_the_dense_pass():
+    # the dense pass held (rays x all edges) arrays; this bound stops them
+    # from coming back
+    strokes = _long_expression_strokes()
+    tracemalloc.start()
+    try:
+        line_of_sight(strokes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND_MB * 2**20, peak / 2**20
 
 
 def test_resample_and_convex_hull_match_their_oracles_bit_for_bit():
