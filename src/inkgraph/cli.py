@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import DatasetError, read_dataset, write_dataset
 from .engine import EngineError, Tensor, load_checkpoint, save_checkpoint
 from .graphs import (GraphConfig, GraphError, augment_global, build_local_graph,
@@ -21,7 +23,7 @@ from .labels import LabelError, Vocabulary, align_labels, decode_labels, seriali
 from .metrics import (MetricsError, attention_to_csv, build_report,
                       confusion_histograms, evaluate_expression, predict_aligned,
                       report_to_csv)
-from .model import ModelConfig, ModelError, forward, parameter_layout
+from .model import ModelConfig, ModelError, edge_index, forward, parameter_layout
 from .train import (TrainConfig, TrainError, fit, history_to_csv, parse_config_text)
 
 DATASET_NAME = "dataset.bin"
@@ -207,10 +209,11 @@ def _graphs(pairs, graph_cfg, vocab=None):
 def _predictions(args):
     """Load an inference command's checkpoint and dataset. Returns the
     vocabulary, the expression count, and a lazy iterator of (expr id,
-    ForwardResult, aligned labels, gold LabelGraph): one forward per graph."""
+    BatchResult of the one graph, aligned labels, gold LabelGraph, the graph
+    the model ran on): one forward per graph."""
     params, vocab, model_cfg, graph_cfg = _params_from_checkpoint(args.checkpoint)
     pairs, _ = _resolve_dataset(args.data)
-    results = ((expr.id, forward(full, params, model_cfg, train=False), aligned, lg)
+    results = ((expr.id, forward(full, params, model_cfg, train=False), aligned, lg, full)
                for expr, lg, _local, full, aligned in _graphs(pairs, graph_cfg, vocab))
     return vocab, len(pairs), results
 
@@ -333,7 +336,7 @@ def _cmd_eval(args):
     vocab, _, predictions = _predictions(args)
     rows = []
     dropped = 0
-    for expr_id, res, aligned, lg in predictions:
+    for expr_id, res, aligned, lg, _full in predictions:
         rows.append(evaluate_expression(expr_id, res, aligned, lg, vocab))
         dropped += aligned.dropped
     report = build_report(rows, dropped_relations=dropped)
@@ -349,7 +352,7 @@ def _cmd_eval(args):
 def _cmd_infer(args):
     vocab, count, predictions = _predictions(args)
     out = _outdir(args, "pred")
-    for expr_id, res, aligned, _lg in predictions:
+    for expr_id, res, aligned, _lg, _full in predictions:
         pred = decode_labels(predict_aligned(res, aligned), vocab)
         (out / "pred" / f"{expr_id}.lg").write_text(serialize_lg(pred),
                                                     encoding="utf-8")
@@ -360,8 +363,12 @@ def _cmd_infer(args):
 def _cmd_attention(args):
     _, count, predictions = _predictions(args)
     out = _outdir(args, "attention")
-    for expr_id, res, _aligned, _lg in predictions:
-        (out / "attention" / f"{expr_id}.csv").write_text(attention_to_csv(res.attention[-1]),
+    for expr_id, res, _aligned, _lg, full in predictions:
+        # the final layer's per-edge weights, placed in a (nodes, nodes) matrix
+        alpha = res.attention[-1]
+        matrix = np.zeros((full.num_nodes, full.num_nodes), dtype=alpha.dtype)
+        matrix[edge_index(full.adjacency)] = alpha
+        (out / "attention" / f"{expr_id}.csv").write_text(attention_to_csv(matrix),
                                                           encoding="utf-8")
     print(f"wrote {count} attention matrices -> {out / 'attention'}")
     return 0
@@ -370,7 +377,7 @@ def _cmd_attention(args):
 def _cmd_confusion(args):
     vocab, _, predictions = _predictions(args)
     graph_pairs = [(decode_labels(predict_aligned(res, aligned), vocab), lg)
-                   for _id, res, aligned, lg in predictions]
+                   for _id, res, aligned, lg, _full in predictions]
     symbols, sym_pairs = confusion_histograms(graph_pairs)
     out = _outdir(args)
     doc = {"symbols": symbols, "pairs": sym_pairs}

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ink import ResampledStroke, normalize_expression, resample_stroke
+from .labels import SAME_SYMBOL_ID, AlignedLabels
 
 _EPS = np.finfo(np.float64).eps
 
@@ -457,7 +458,6 @@ def split_subexpressions(graph, aligned, config):
     """
     if graph.has_master:
         raise GraphError("split before augmenting, not after")
-    from .labels import AlignedLabels  # local import to avoid a cycle at module load
 
     n = graph.num_nodes
     chunks = []
@@ -485,12 +485,9 @@ def split_subexpressions(graph, aligned, config):
 
 def _strokes_with_partner_outside(aligned, lo, hi):
     """Strokes in [lo, hi) sharing a '*' edge with a stroke outside the window."""
-    from .labels import POSITIONAL_RELATIONS
-
     broken = set()
-    star_id = 2 * len(POSITIONAL_RELATIONS)
     for i, j in zip(*np.nonzero(aligned.order_adj)):
-        if aligned.edge_ids[i, j] != star_id:
+        if aligned.edge_ids[i, j] != SAME_SYMBOL_ID:
             continue
         ii, jj = int(i), int(j)
         in_i = lo <= ii < hi

@@ -57,7 +57,9 @@ class InkExpression:
 
 @dataclass
 class ResampledStroke:
-    """Fixed-length stroke: coords shape (2, d), equal spacing between samples."""
+    """Fixed-length stroke: coords shape (2, d). From resample_stroke, its
+    chords are equal to a tolerance and its samples lie near the input
+    trace, not always on it."""
 
     coords: np.ndarray
 
@@ -213,12 +215,16 @@ def _resample_once(x, y, seg, ramp, cum):
 
 
 def resample_stroke(stroke, d) -> ResampledStroke:
-    """Resample to d points with equal spacing along the trace.
+    """Resample to d points, iterating towards equal chords.
 
-    Zero-length input replicates the point. The reparameterization is
-    iterated towards equal chords: it stops once the spread of the output's
-    chord lengths (max - min) is at most 1e-9 times their mean, or after 512
-    iterations. A stroke that reaches the cap keeps a small spread, so
+    The first pass takes d samples at equal arc steps along the input trace.
+    Each later pass re-interpolates the previous pass's samples, not the
+    input, at equal arc steps along their own polyline, so the samples can
+    leave the input trace where it bends: at d 32 on synthetic strokes, by a
+    median of 0.3% and at most 3.5% of the stroke's diagonal. Zero-length
+    input replicates the point. The iteration stops once the spread of the
+    output's chord lengths (max - min) is at most 1e-9 times their mean, or
+    after 512 passes. A stroke that reaches the cap keeps a small spread, so
     resampling is idempotent only approximately: re-resampling can move
     points by a few 1e-8, and test_resample_is_idempotent checks agreement to
     1e-6.

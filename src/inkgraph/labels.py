@@ -16,6 +16,9 @@ import numpy as np
 POSITIONAL_RELATIONS = ("Right", "Sup", "Sub", "Above", "Below", "Inside")
 SAME_SYMBOL = "*"
 NO_EDGE = "NoE"
+# edge class ids: the positional relations, their opposites, '*', 'NoE'
+SAME_SYMBOL_ID = 2 * len(POSITIONAL_RELATIONS)
+NO_EDGE_ID = SAME_SYMBOL_ID + 1
 
 
 class LabelError(Exception):
@@ -42,20 +45,22 @@ def _default_symbols():
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Symbol and relation class tables. Edge classes: positional, opposites, '*', 'NoE'."""
+    """Symbol and relation class tables. Edge classes: positional, opposites, '*', 'NoE'.
+
+    Only the symbols vary; label graphs and chunk masking hard-code the
+    relations and the edge class ids."""
 
     symbols: tuple = ()
-    relations: tuple = POSITIONAL_RELATIONS
+    relations = POSITIONAL_RELATIONS
+    num_edge_classes = NO_EDGE_ID + 1
+    same_symbol_id = SAME_SYMBOL_ID
+    no_edge_id = NO_EDGE_ID
 
     def __post_init__(self):
         if len(set(self.symbols)) != len(self.symbols):
             raise LabelError("vocabulary: duplicate symbol labels")
         if list(self.symbols) != sorted(self.symbols):
             raise LabelError("vocabulary: symbol labels must be sorted")
-        # label graphs and chunk masking hard-code these classes and their ids
-        if self.relations != POSITIONAL_RELATIONS:
-            raise LabelError(f"vocabulary: relations must be {list(POSITIONAL_RELATIONS)}, "
-                             f"got {list(self.relations)}")
 
     @classmethod
     def default(cls):
@@ -68,10 +73,6 @@ class Vocabulary:
     @property
     def num_symbols(self):
         return len(self.symbols)
-
-    @property
-    def num_edge_classes(self):
-        return 2 * len(self.relations) + 2
 
     def symbol_id(self, label):
         try:
@@ -92,14 +93,6 @@ class Vocabulary:
         except ValueError:
             raise LabelError(f"unknown relation label {label!r}") from None
 
-    @property
-    def same_symbol_id(self):
-        return 2 * len(self.relations)
-
-    @property
-    def no_edge_id(self):
-        return 2 * len(self.relations) + 1
-
     def opposite(self, edge_class):
         """Swap a positional class with its reverse-direction class."""
         k = len(self.relations)
@@ -114,7 +107,11 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(symbols=tuple(d["symbols"]), relations=tuple(d["relations"]))
+        relations = tuple(d["relations"])
+        if relations != POSITIONAL_RELATIONS:
+            raise LabelError(f"vocabulary: relations must be {list(POSITIONAL_RELATIONS)}, "
+                             f"got {list(relations)}")
+        return cls(symbols=tuple(d["symbols"]))
 
 
 @dataclass

@@ -19,10 +19,14 @@ class MetricsError(Exception):
 
 
 def predict_aligned(result, reference):
-    """Argmax decode of a ForwardResult into AlignedLabels on the reference support."""
+    """Argmax decode of the forward result of one graph into AlignedLabels on
+    the reference support."""
+    if len(result.supports) != 1:
+        raise MetricsError(f"expected the forward result of one graph, "
+                           f"got one of {len(result.supports)} graphs")
+    rows, cols = result.supports[0].T
     node_ids = result.node_logits.data.argmax(axis=1).astype(np.int64)
     n = node_ids.shape[0]
-    rows, cols = result.support.T
     edge_ids = np.full((n, n), -1, dtype=np.int64)
     edge_ids[rows, cols] = result.edge_logits.data.argmax(axis=1)
     support = np.zeros((n, n), dtype=np.int8)
@@ -34,9 +38,8 @@ def predict_aligned(result, reference):
 
 def primitive_counts(result, node_labels, edge_labels, node_mask=None, edge_mask=None):
     """(node_correct, node_total, edge_correct, edge_total): argmax hits of
-    the node and edge logit rows of a ForwardResult or BatchResult against
-    their labels, row by row, over the rows whose mask is > 0 (all rows
-    without masks)."""
+    the node and edge logit rows of a forward result against their labels,
+    row by row, over the rows whose mask is > 0 (all rows without masks)."""
     def hits(logits, labels, mask):
         hit = logits.data.argmax(axis=1) == labels
         if mask is not None:
@@ -106,9 +109,10 @@ def build_report(rows, dropped_relations=0):
 
 
 def evaluate_expression(expr_id, result, gold_aligned, gold_graph, vocab):
-    """One per-expression metrics row from a forward pass and its ground truth."""
+    """One per-expression metrics row from the forward result of one graph
+    and its ground truth."""
     pred_graph = decode_labels(predict_aligned(result, gold_aligned), vocab)
-    rows, cols = result.support.T
+    rows, cols = result.supports[0].T
     node_correct, node_total, edge_correct, edge_total = primitive_counts(
         result, gold_aligned.node_ids, gold_aligned.edge_ids[rows, cols])
     row = {

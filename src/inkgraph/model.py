@@ -217,20 +217,18 @@ def edge_attention_layer(h, b, edges, params, q, config, train=False, rng=None):
 # forward
 
 
-def _read_aux(result):
-    if callable(result._aux):
-        result._aux = result._aux()
-    return result._aux
-
-
 @dataclass
-class ForwardResult:
-    """Final and auxiliary logits plus per-layer attention.
+class BatchResult:
+    """Final and auxiliary logits plus per-layer attention of one forward
+    over a disjoint union of graphs (one graph is a union of one).
 
-    node_logits: (num_strokes, C1); edge_logits: (P, C2) in support order;
-    support: (P, 2) int64 writing-order pairs (i < j, local stroke indices),
-    row-major; aux: per earlier stage (node_logits, edge_logits); attention:
-    per layer (num_nodes, num_nodes) arrays including the master when present.
+    Logit rows are stacked in graph order: graph g owns node rows
+    node_offsets[g]:node_offsets[g + 1] (its strokes, C1 classes) and edge
+    rows edge_offsets[g]:edge_offsets[g + 1] (its support pairs, C2
+    classes). supports: per graph its (P, 2) int64 writing-order pairs (i < j,
+    local stroke indices), row-major; aux: per earlier stage (node_logits,
+    edge_logits); attention: per layer, one weight per directed edge of the
+    union, including the master's, in edge_index order graph by graph.
 
     The auxiliary classifiers only shape the training loss. A forward run
     outside a Tape computes them on the first read of aux (and keeps them), so
@@ -241,47 +239,27 @@ class ForwardResult:
 
     node_logits: Tensor
     edge_logits: Tensor
-    support: np.ndarray
-    attention: list = field(default_factory=list)
-    # the aux list, or the function that builds it on first read
-    _aux: object = field(default_factory=list, repr=False, compare=False)
-
-    aux = property(_read_aux)
-
-
-@dataclass
-class BatchResult:
-    """Logits of one forward over a disjoint union of graphs.
-
-    Logit rows are stacked in graph order: graph g owns node rows
-    node_offsets[g]:node_offsets[g + 1] and edge rows
-    edge_offsets[g]:edge_offsets[g + 1]. supports: per graph its (P, 2)
-    support, as in ForwardResult; attention: per layer, one weight per
-    directed edge of the union, in edge_index order graph by graph. aux is
-    computed on first read outside a Tape, with the same hazard as in
-    ForwardResult.
-    """
-
-    node_logits: Tensor
-    edge_logits: Tensor
     supports: list
     node_offsets: np.ndarray
     edge_offsets: np.ndarray
     attention: list
+    # the aux list, or the function that builds it on first read
     _aux: object = field(repr=False, compare=False)
 
-    aux = property(_read_aux)
+    @property
+    def aux(self):
+        if callable(self._aux):
+            self._aux = self._aux()
+        return self._aux
 
 
 def forward(graphs, params, config, train=False, rng=None):
     """Run the model over one graph, or over a list of graphs as one disjoint
-    union. One graph gives its ForwardResult, a list gives a BatchResult.
-    Master rows are excluded from all logits; edge logits exist only for
-    writing-order support pairs."""
+    union; either gives a BatchResult. Master rows are excluded from all
+    logits; edge logits exist only for writing-order support pairs."""
     if train and config.dropout > 0 and rng is None:
         raise ModelError("training forward needs an rng for dropout")
-    single = not isinstance(graphs, (list, tuple))
-    if single:
+    if not isinstance(graphs, (list, tuple)):
         graphs = [graphs]
     if not graphs:
         raise ModelError("forward needs at least one graph")
@@ -338,14 +316,6 @@ def forward(graphs, params, config, train=False, rng=None):
     if not eager:
         aux = aux_readouts
     node_logits, edge_logits = stage_readout("read.final", h, b)
-    if single:
-        dense = []
-        for alpha in attention:
-            mat = np.zeros((node_base, node_base), dtype=alpha.dtype)
-            mat[edges] = alpha
-            dense.append(mat)
-        return ForwardResult(node_logits=node_logits, edge_logits=edge_logits,
-                             support=supports[0], attention=dense, _aux=aux)
     return BatchResult(
         node_logits=node_logits, edge_logits=edge_logits, supports=supports,
         node_offsets=np.cumsum([0] + [g.num_strokes for g in graphs]),

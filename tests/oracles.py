@@ -114,14 +114,30 @@ def whole_array_adam_step(p, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def dense_edge_logits(result):
-    """(num_strokes, num_strokes, C2) array of a ForwardResult's edge logits
-    at their support pairs; 0.0 off the support."""
+    """(num_strokes, num_strokes, C2) array of the edge logits of a one-graph
+    forward result at their support pairs; 0.0 off the support."""
+    (support,) = result.supports
     n = result.node_logits.shape[0]
     edge_logits = result.edge_logits.data
     out = np.zeros((n, n, edge_logits.shape[1]), dtype=edge_logits.dtype)
-    for k, (i, j) in enumerate(result.support):
+    for k, (i, j) in enumerate(support):
         out[i, j] = edge_logits[k]
     return out
+
+
+def dense_attention(result, graph):
+    """Per layer, the (num_nodes, num_nodes) matrix of a one-graph forward
+    result's attention: each directed edge's weight at (source, target) of
+    the graph's adjacency, 0.0 elsewhere."""
+    (_,) = result.supports
+    rows, cols = np.nonzero(graph.adjacency)
+    mats = []
+    for alpha in result.attention:
+        assert alpha.shape == rows.shape
+        mat = np.zeros((graph.num_nodes, graph.num_nodes), dtype=alpha.dtype)
+        mat[rows, cols] = alpha
+        mats.append(mat)
+    return mats
 
 
 def interleaved_forward(graphs, params, config):

@@ -22,7 +22,7 @@ from inkgraph.synth import generate_synthetic
 from inkgraph.train import TrainConfig, fit, graph_losses
 
 from oracles import (brute_force_expression_metrics, brute_force_visibility,
-                     dense_edge_logits, finite_diff_grad, rel_err)
+                     dense_attention, dense_edge_logits, finite_diff_grad, rel_err)
 from test_graphs import _resampled
 from test_metrics import _random_label_pair
 
@@ -266,7 +266,7 @@ def test_attention_row_normalization():
     for g in graphs:
         out = forward(g, params, mcfg)
         assert len(out.attention) == mcfg.layers
-        for alpha in out.attention:
+        for alpha in dense_attention(out, g):
             worst = max(worst, float(np.abs(alpha.sum(axis=1) - 1.0).max()))
     _report("attention-normalization", worst <= 1e-6,
             f"100 graphs x {mcfg.layers} layers, worst |row sum - 1| = {worst:.2e} (<=1e-6)")
@@ -297,11 +297,11 @@ def test_permutation_equivariance():
             np.abs(outp.node_logits.data - out.node_logits.data[perm]).max()))
         dense = dense_edge_logits(out)
         densep = dense_edge_logits(outp)
-        for i, j in outp.support:
+        for i, j in outp.supports[0]:
             oi, oj = perm[i], perm[j]
             if oi < oj:  # flipped pairs legitimately see direction-flipped features
                 worst = max(worst, float(np.abs(densep[i, j] - dense[oi, oj]).max()))
-        for a1, a2 in zip(out.attention, outp.attention):
+        for a1, a2 in zip(dense_attention(out, g), dense_attention(outp, gp)):
             worst = max(worst, float(np.abs(a2 - a1[perm][:, perm]).max()))
     _report("permutation-equivariance", worst < 1e-5,
             f"50 graphs, max abs deviation {worst:.2e} (<1e-5 at 32-bit)")

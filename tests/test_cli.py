@@ -13,12 +13,15 @@ import pytest
 from inkgraph import container
 from inkgraph.cli import main
 from inkgraph.dataset import DATASET_MAGIC, DatasetError, read_dataset, write_dataset
-from inkgraph.engine import load_checkpoint, save_checkpoint
+from inkgraph.engine import Tensor, load_checkpoint, save_checkpoint
+from inkgraph.graphs import GraphConfig, augment_global, build_local_graph
 from inkgraph.ink import parse_lg
 from inkgraph.labels import Vocabulary
+from inkgraph.metrics import attention_to_csv
+from inkgraph.model import ModelConfig, forward
 from inkgraph.synth import compose
 
-from oracles import graph_from_json
+from oracles import dense_attention, graph_from_json
 
 CONFIG = """
 [model]
@@ -274,12 +277,22 @@ def test_synth_pipeline_end_to_end(workdir, capsys):
     assert code == 0
     mats = sorted((workdir / "att" / "attention").glob("*.csv"))
     assert len(mats) == 4
-    for path, (expr, _lg) in zip(mats, pairs):
-        rows = [[float(v) for v in line.split(",")]
-                for line in path.read_text(encoding="utf-8").splitlines()]
+    # each file is the final layer's weight of every directed edge of the
+    # expression's graph, at (source, target), 0 elsewhere
+    gcfg = GraphConfig.from_dict(header["graph_config"])
+    mcfg = ModelConfig.from_dict(header["model_config"])
+    params = {name: Tensor(arr) for name, arr in header["params"].items()}
+    exprs = {expr.id: expr for expr, _lg in pairs}
+    for path in mats:
+        text = path.read_text(encoding="utf-8")
+        rows = [[float(v) for v in line.split(",")] for line in text.splitlines()]
         mat = np.array(sorted(rows, key=len))  # all rows same length
         assert mat.shape[0] == mat.shape[1]
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-4)
+        graph = augment_global(build_local_graph(exprs[path.stem], gcfg))
+        assert gcfg.global_graph and mat.shape[0] == graph.num_nodes
+        want = dense_attention(forward(graph, params, mcfg), graph)[-1]
+        assert text == attention_to_csv(want), path.stem
 
     code, _, _ = _run(["confusion", "--data", str(data), "--out",
                        str(workdir / "conf"), "--checkpoint", str(ckpt)], capsys)

@@ -1,6 +1,8 @@
 """Metrics tests: argmax decoding, primitive and expression-level rates against
 a correspondence-enumerating reference, confusion tables, and attention export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from inkgraph.metrics import (MetricsError, attention_to_csv, build_report,
                               confusion_histograms, evaluate_expression,
                               expression_metrics, predict_aligned,
                               primitive_counts, report_to_csv)
-from inkgraph.model import ForwardResult, ModelConfig, forward, init_parameters
+from inkgraph.model import BatchResult, ModelConfig, forward, init_parameters
 
-from oracles import brute_force_expression_metrics
+from oracles import brute_force_expression_metrics, dense_attention
 
 
 def _aligned(node_ids, edges):
@@ -29,14 +31,15 @@ def _aligned(node_ids, edges):
 
 
 def _result_for(aligned, node_classes, edge_classes):
-    """A ForwardResult whose argmax reproduces `aligned` exactly."""
+    """The forward result of one graph whose argmax reproduces `aligned` exactly."""
     node_logits = 10.0 * np.eye(node_classes)[aligned.node_ids]
     support = np.argwhere(aligned.order_adj)
     edge_logits = np.zeros((len(support), edge_classes))
     for k, (i, j) in enumerate(support):
         edge_logits[k, aligned.edge_ids[i, j]] = 10.0
-    return ForwardResult(node_logits=Tensor(node_logits),
-                         edge_logits=Tensor(edge_logits), support=support)
+    return BatchResult(node_logits=Tensor(node_logits), edge_logits=Tensor(edge_logits),
+                       supports=[support], node_offsets=np.array([0, len(node_logits)]),
+                       edge_offsets=np.array([0, len(support)]), attention=[], _aux=[])
 
 
 def test_predict_aligned_argmax_and_support_check():
@@ -51,11 +54,18 @@ def test_predict_aligned_argmax_and_support_check():
     with pytest.raises(MetricsError, match="support"):
         predict_aligned(res, other)
 
+    # a result over two graphs has no one support to decode on
+    two = replace(res, supports=res.supports * 2)
+    with pytest.raises(MetricsError, match="one graph, got one of 2 graphs"):
+        predict_aligned(two, gold)
+    with pytest.raises(MetricsError, match="one graph, got one of 2 graphs"):
+        evaluate_expression("two", two, gold, None, Vocabulary.default())
+
 
 def _counts(res, gold, node_mask=None, edge_mask=None):
-    """primitive_counts of a ForwardResult against AlignedLabels and (n, n)
-    edge masks, read at the result's support."""
-    rows, cols = res.support.T
+    """primitive_counts of a one-graph forward result against AlignedLabels
+    and (n, n) edge masks, read at the result's support."""
+    rows, cols = res.supports[0].T
     return primitive_counts(res, gold.node_ids, gold.edge_ids[rows, cols], node_mask,
                             None if edge_mask is None else edge_mask[rows, cols])
 
@@ -247,7 +257,9 @@ def test_export_attention_matrix():
                       readout_hidden=6, dropout=0.0)
     params = init_parameters(cfg, edge_dim=7, seed=0)
 
-    mat = forward(gm, params, cfg).attention[-1]
+    res = forward(gm, params, cfg)
+    assert res.attention[-1].shape == (int(gm.adjacency.sum()),)
+    mat = dense_attention(res, gm)[-1]
     assert mat.shape == (n + 1, n + 1)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-5)
     assert np.all(mat[gm.adjacency == 0] == 0.0)

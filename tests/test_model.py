@@ -10,13 +10,13 @@ from inkgraph.engine import Tape, Tensor, backward
 from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
                              build_local_graph, split_subexpressions)
 from inkgraph.labels import Vocabulary, align_labels
-from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, BatchResult,
-                            ForwardResult, ModelConfig, ModelError, edge_attention_layer,
-                            edge_index, forward, init_parameters, node_embed)
+from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, BatchResult, ModelConfig,
+                            ModelError, edge_attention_layer, edge_index, forward,
+                            init_parameters, node_embed)
 from inkgraph.synth import compose, generate_synthetic
 
-from oracles import (dense_edge_logits, finite_diff_grad, interleaved_forward, naive_conv1d,
-                     rel_err)
+from oracles import (dense_attention, dense_edge_logits, finite_diff_grad,
+                     interleaved_forward, naive_conv1d, rel_err)
 
 
 def _small_config(**kw):
@@ -158,7 +158,7 @@ def test_edge_mlp_feeds_the_stage0_edge_readout():
 
     # one shared MLP embeds every support slot; the stage-0 edge readout sees
     # that embedding as both the stage state and the initial state
-    rows = np.array([g.edge_features[i + 1, j + 1] for i, j in out.support])
+    rows = np.array([g.edge_features[i + 1, j + 1] for i, j in out.supports[0]])
     b0 = mlp(rows, "edge")
     ref = mlp(np.concatenate([b0, b0], axis=1), "read.aux0.edge")
     assert rel_err(out.aux[0][1].data, ref) < 1e-12
@@ -344,28 +344,29 @@ def test_forward_shapes_stages_and_dense_logits():
     g = _rand_graph(rng, 6, edge_dim=7, master=True)
     out = forward(g, params, cfg)
 
-    assert isinstance(out, ForwardResult)
+    assert isinstance(out, BatchResult)
+    (support,) = out.supports
     assert out.node_logits.shape == (6, cfg.node_classes)
-    assert out.edge_logits.shape == (len(out.support), cfg.edge_classes)
-    assert out.support.tolist() == sorted(out.support.tolist())
+    assert out.edge_logits.shape == (len(support), cfg.edge_classes)
+    assert support.tolist() == sorted(support.tolist())
     local_adj = g.adjacency[1:, 1:]
-    assert len(out.support) == int(np.triu(local_adj, 1).sum())
-    assert all(0 <= i < j < 6 for i, j in out.support)
-    # one auxiliary stage per pre-final stage, one attention map per layer
+    assert len(support) == int(np.triu(local_adj, 1).sum())
+    assert all(0 <= i < j < 6 for i, j in support)
+    # one auxiliary stage per pre-final stage, one weight per edge per layer
     assert len(out.aux) == cfg.layers
     assert len(out.attention) == cfg.layers
     for nl, el in out.aux:
         assert nl.shape == (6, cfg.node_classes)
-        assert el.shape == (len(out.support), cfg.edge_classes)
+        assert el.shape == (len(support), cfg.edge_classes)
     for alpha in out.attention:
-        assert alpha.shape == (7, 7)
+        assert alpha.shape == (int(g.adjacency.sum()),)
+    for alpha in dense_attention(out, g):
         assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-5)
-        assert np.all(alpha[g.adjacency == 0] == 0.0)
 
     dense = dense_edge_logits(out)
     assert dense.shape == (6, 6, cfg.edge_classes)
     sup_mask = np.zeros((6, 6), dtype=bool)
-    for k, (i, j) in enumerate(out.support):
+    for k, (i, j) in enumerate(support):
         sup_mask[i, j] = True
         assert np.array_equal(dense[i, j], out.edge_logits.data[k])
     assert np.all(dense[~sup_mask] == 0.0)
@@ -394,7 +395,7 @@ def test_forward_on_synthetic_scenes_rows_sum_to_one():
     for expr, _ in pool:
         g = augment_global(build_local_graph(expr, gcfg))
         out = forward(g, params, cfg)
-        for alpha in out.attention:
+        for alpha in dense_attention(out, g):
             assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-5)
 
 
@@ -439,7 +440,7 @@ def test_forward_permutation_equivariance():
     dense = dense_edge_logits(out)
     densep = dense_edge_logits(outp)
     checked = 0
-    for i, j in outp.support:
+    for i, j in outp.supports[0]:
         oi, oj = perm[i], perm[j]
         if oi < oj:  # orientation preserved; flipped pairs see flipped features
             assert rel_err(densep[i, j], dense[oi, oj]) < 1e-10
@@ -464,7 +465,7 @@ def test_forward_ablations_and_empty_support():
                         node_mask=np.ones(2), edge_mask=np.ones((2, 2)))
     gm = augment_global(lone)
     out2 = forward(gm, params, cfg)
-    assert out2.support.shape == (0, 2)
+    assert out2.supports[0].shape == (0, 2)
     assert out2.edge_logits.shape == (0, cfg.edge_classes)
     assert out2.node_logits.shape == (2, cfg.node_classes)
 
@@ -560,8 +561,7 @@ def test_forward_outside_a_tape_runs_the_aux_readouts_on_first_read(master, batc
 
     assert _same_bytes(lazy.node_logits.data, eager.node_logits.data)
     assert _same_bytes(lazy.edge_logits.data, eager.edge_logits.data)
-    supports = (lazy.supports, eager.supports) if batched else ([lazy.support], [eager.support])
-    for got, want in zip(*supports, strict=True):
+    for got, want in zip(lazy.supports, eager.supports, strict=True):
         assert _same_bytes(got, want)
     for got, want in zip(lazy.attention, eager.attention, strict=True):
         assert _same_bytes(got, want)
@@ -711,20 +711,31 @@ def test_batch_forward_equals_standalone_forwards():
         edge_base = 0
         for g, graph in enumerate(graphs):
             want = forward(graph, params, cfg)
-            assert np.array_equal(batch.supports[g], want.support)
+            # one graph alone or in a list of one: the same bits
+            listed = forward([graph], params, cfg)
+            same = [(want.node_logits.data, listed.node_logits.data),
+                    (want.edge_logits.data, listed.edge_logits.data)]
+            same += zip(want.supports, listed.supports, strict=True)
+            same += zip(want.attention, listed.attention, strict=True)
+            for stage, listed_stage in zip(want.aux, listed.aux, strict=True):
+                same += [(x.data, y.data) for x, y in zip(stage, listed_stage, strict=True)]
+            assert len(same) == 2 + 1 + cfg.layers + 2 * cfg.layers
+            assert all(_same_bytes(x, y) for x, y in same), (dtype, g)
+            assert np.array_equal(batch.supports[g], want.supports[0])
             # graph g's logit rows, and its directed edges' attention weights
             nodes = slice(batch.node_offsets[g], batch.node_offsets[g + 1])
             pairs = slice(batch.edge_offsets[g], batch.edge_offsets[g + 1])
-            src, dst = np.nonzero(graph.adjacency)
-            edges = slice(edge_base, edge_base + src.size)
-            edge_base += src.size
+            size = np.count_nonzero(graph.adjacency)
+            edges = slice(edge_base, edge_base + size)
+            edge_base += size
             stages = zip([(batch.node_logits, batch.edge_logits)] + batch.aux,
                          [(want.node_logits, want.edge_logits)] + want.aux, strict=True)
             compared = []
             for (got_n, got_e), (want_n, want_e) in stages:
                 compared += [(got_n.data[nodes], want_n.data), (got_e.data[pairs], want_e.data)]
-            compared += [(alpha[edges], mat[src, dst])
-                         for alpha, mat in zip(batch.attention, want.attention, strict=True)]
+            compared += [(alpha[edges], want_alpha)
+                         for alpha, want_alpha in zip(batch.attention, want.attention,
+                                                      strict=True)]
             assert len(compared) == 2 + 2 * cfg.layers + cfg.layers
             for a, b in compared:
                 assert a.shape == b.shape, g
@@ -753,7 +764,7 @@ def test_support_is_the_aligned_writing_order_support():
     assert len(cases[2][1]) == n * (n - 1) // 2  # FC: every pair of strokes
     assert not cases[4][0].adjacency.any() and cases[4][1].shape == (0, 2)
     for graph, want in cases:
-        support = forward(graph, params, cfg).support
+        (support,) = forward(graph, params, cfg).supports
         assert support.dtype == np.int64 and support.shape == want.shape
         assert np.array_equal(support, want)
     batch = forward([graph for graph, _ in cases], params, cfg)

@@ -299,8 +299,8 @@ def test_graph_losses_match_manual_concatenation():
             e_logits.append((res.edge_logits if s == 0 else res.aux[s - 1][1]).data)
             nl.append(aligned.node_ids)
             nm.append(nmask)
-            el.append([aligned.edge_ids[i, j] for i, j in res.support])
-            em.append([emask[i, j] for i, j in res.support])
+            el.append([aligned.edge_ids[i, j] for i, j in res.supports[0]])
+            em.append([emask[i, j] for i, j in res.supports[0]])
         ln = _np_node_loss(np.concatenate(n_logits), np.concatenate(nl), np.concatenate(nm))
         le = _np_edge_loss(np.concatenate(e_logits),
                            np.concatenate(el).astype(int), np.concatenate(em), 1.5)
@@ -336,7 +336,7 @@ def test_batched_validation_is_the_mean_of_per_graph_losses():
         rows, cols = res.supports[0].T
         want_counts += primitive_counts(res, al.node_ids, al.edge_ids[rows, cols],
                                         nmask, emask[rows, cols])
-    assert forward(items[2][0], params, mcfg).support.shape == (0, 2)
+    assert forward(items[2][0], params, mcfg).supports[0].shape == (0, 2)
     assert losses[1] > 0.0  # the node loss remains
 
     for batch_size in (1, 2, 3, 5):
@@ -359,21 +359,22 @@ def test_primitive_counts_respect_masks():
 
     # force perfect labels, then knock out one node and one edge via the masks
     aligned.node_ids[:] = res.node_logits.data.argmax(axis=1)
-    rows, cols = res.support.T
+    (support,) = res.supports
+    rows, cols = support.T
     aligned.edge_ids[rows, cols] = res.edge_logits.data.argmax(axis=1)
     nc, nt, ec, et = primitive_counts(res, aligned.node_ids, aligned.edge_ids[rows, cols],
                                       nmask, emask[rows, cols])
     assert (nc, nt) == (5, 5)
-    assert (ec, et) == (len(res.support), len(res.support))
+    assert (ec, et) == (len(support), len(support))
 
     nmask[0] = 0.0
-    i0, j0 = res.support[0]
+    i0, j0 = support[0]
     emask[i0, j0] = 0.0
     aligned.node_ids[0] += 1  # wrong now, but masked
     nc, nt, ec, et = primitive_counts(res, aligned.node_ids, aligned.edge_ids[rows, cols],
                                       nmask, emask[rows, cols])
     assert (nc, nt) == (4, 4)
-    assert (ec, et) == (len(res.support) - 1, len(res.support) - 1)
+    assert (ec, et) == (len(support) - 1, len(support) - 1)
 
 
 # ---------------------------------------------------------------------------
