@@ -112,6 +112,18 @@ def _record(op, out_data, inputs, backfn, check=True):
     return out
 
 
+def _record_pair(op, outs_data, inputs, backfn):
+    # one tape node with two outputs; backfn gets both output gradients,
+    # None for an output that received none
+    outs = tuple(Tensor(d) for d in outs_data)
+    tape = _ACTIVE_TAPE
+    if tape is not None and any(t.requires_grad for t in inputs):
+        for out in outs:
+            out.requires_grad = True
+        tape._nodes.append((outs, inputs, backfn))
+    return outs
+
+
 def _accum(t, g):
     # The first gradient is taken, not copied, and later ones add out of place:
     # one array may reach several tensors (add hands its g to both inputs,
@@ -311,16 +323,32 @@ def _run_starts(ids):
 
 
 def _segment_sum(x, ids, num_rows):
-    """Rows of x summed into row ids[k] of a (num_rows, ...) zero array: one
-    reduceat over id-sorted rows instead of np.add.at's per-element loop."""
-    out = np.zeros((num_rows,) + x.shape[1:], dtype=x.dtype)
-    if ids.size:
-        if np.any(ids[1:] < ids[:-1]):
-            order = np.argsort(ids, kind="stable")
-            x, ids = x[order], ids[order]
-        starts = _run_starts(ids)
-        out[ids[starts]] = np.add.reduceat(x, starts, axis=0)
-    return out
+    """Rows of x summed into row ids[k] of a (num_rows, ...) zero array."""
+    return _segment_summer(ids, num_rows)(x)
+
+
+def _segment_summer(ids, num_rows):
+    """The function x -> _segment_sum(x, ids, num_rows), with the ids sorted
+    once for any number of x. Repeated ids are summed by one reduceat over
+    id-sorted rows instead of np.add.at's per-element loop; distinct ids are
+    placed, which gives the same bytes as a reduceat over runs of one row."""
+    order = None
+    if ids.size and np.any(ids[1:] < ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+    starts = None if np.all(ids[1:] > ids[:-1]) else _run_starts(ids)
+
+    def segment_sum(x):
+        out = np.zeros((num_rows,) + x.shape[1:], dtype=x.dtype)
+        if order is not None:
+            x = x[order]
+        if starts is None:
+            out[ids] = x
+        else:
+            out[ids[starts]] = np.add.reduceat(x, starts, axis=0)
+        return out
+
+    return segment_sum
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +372,7 @@ def tmean(a, axis=None):
     a = _as_tensor(a)
     cnt = a.data.size if axis is None else a.data.shape[axis]
     if axis is not None and 1 <= cnt <= 3:
-        # np.mean reduces a short axis slowly. Its sum starts from +0.0 and
-        # adds the entries in index order, and so does this one, bit for bit.
-        rows = np.moveaxis(a.data, axis, 0)
-        out = 0.0 + rows[0]
-        for x in rows[1:]:
-            out += x
-        out /= cnt
+        out = _short_mean(a.data, axis)
     else:
         out = a.data.mean(axis=axis)
 
@@ -361,6 +383,18 @@ def tmean(a, axis=None):
             _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape) / cnt)
 
     return _record("mean", out, (a,), back)
+
+
+def _short_mean(a, axis):
+    """np.mean over an axis of length 1 to 3, which np.mean reduces slowly.
+    Its sum starts from +0.0 and adds the entries in index order, and so does
+    this one, bit for bit."""
+    rows = np.moveaxis(a, axis, 0)
+    out = 0.0 + rows[0]
+    for x in rows[1:]:
+        out += x
+    out /= len(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +621,8 @@ def sepconv_block(x, dw_w, dw_b, pw_w, pw_b, proj_w, proj_b, padding, pool=False
     is kept; pw_w and proj_w: (Cout, Cin, 1); biases 1-D. The depthwise conv
     runs on the banded kernel, and each 1x1 conv as one GEMM over all B*L
     positions, channel-major. Bias, relu and skip are written in place, the
-    output is checked once and one tape node is recorded. The output is a
+    output is checked once and one tape node is recorded, which keeps the
+    relu's mask as bool rather than the activation. The output is a
     (B, Cout, L) view of a (Cout, B, L) array, which the next block reads
     without a copy.
 
@@ -615,6 +650,8 @@ def sepconv_block(x, dw_w, dw_b, pw_w, pw_b, proj_w, proj_b, padding, pool=False
     act = pw2 @ h
     act += pw_b.data[:, None]
     np.maximum(act, 0, out=act)
+    # the backward needs only where the relu passed, not the activation
+    mask = act > 0 if tape_active() else None
     # the skip's input: x over all positions, or its mean per stroke
     x2 = xc.mean(axis=2) if pool else np.ascontiguousarray(xc).reshape(cin, -1)
     out = proj2 @ x2
@@ -628,7 +665,6 @@ def sepconv_block(x, dw_w, dw_b, pw_w, pw_b, proj_w, proj_b, padding, pool=False
             _accum(proj_b, gs.sum(axis=1))
         if proj_w.requires_grad:
             _accum(proj_w, (gs @ x2.T)[:, :, None])
-        mask = act > 0
         if pool:  # the mean's gradient, spread over the length axis
             gpw = ((gs / length)[:, :, None] * mask.reshape(cout, bsz, length)).reshape(cout, -1)
         else:
@@ -731,20 +767,25 @@ def segment_softmax(logits, segment_ids):
                          f"for {logits.shape}")
     if np.any(ids[1:] < ids[:-1]):
         raise ShapeError("segment_softmax: segment ids must be sorted")
-    x = logits.data
+    out, grad = _softmax_runs(logits.data, ids)
+    return _record("segment_softmax", out, (logits,), lambda g: _accum(logits, grad(g)))
+
+
+def _softmax_runs(x, ids):
+    """Softmax of x over each run of equal sorted ids: the output and the
+    function that maps its gradient to the gradient of x."""
     if ids.size == 0:
-        return _record("segment_softmax", x.copy(), (logits,),
-                       lambda g: _accum(logits, g))
+        return x.copy(), lambda g: g
     starts = _run_starts(ids)
     seg = np.cumsum(np.r_[0, ids[1:] != ids[:-1]])  # run number of every row
     e = np.exp(x - np.maximum.reduceat(x, starts, axis=0)[seg])
     out = e / np.add.reduceat(e, starts, axis=0)[seg]
 
-    def back(g):
+    def grad(g):
         dot = np.add.reduceat(g * out, starts, axis=0)[seg]
-        _accum(logits, out * (g - dot))
+        return out * (g - dot)
 
-    return _record("segment_softmax", out, (logits,), back)
+    return out, grad
 
 
 def log_softmax(logits, axis):
@@ -761,13 +802,168 @@ def log_softmax(logits, axis):
 
 
 # ---------------------------------------------------------------------------
+# attention layer
+
+
+def edge_attention(h, b, wh, wb, att, edges, leaky_slope=None, message_concat=True,
+                   residual=True, dropout_rate=0.0, rng=None):
+    """One edge-featured attention layer as one op with two outputs.
+
+    h: (V, H) node state, b: (E, H) state of the directed edges
+    edges = (src, dst), sorted by source; wh, wb: (H, H); att: (3H, 1).
+    Returns (h', b', attention), the last a plain (E,) array. The logits
+    score [h_src W_h ++ b W_b ++ h_dst W_h], through a leaky relu unless
+    leaky_slope is None, and are normalized over each source's out-edges.
+    Messages alpha * h_dst W_h are summed into the source; alpha * b W_b is
+    the edge message. message_concat re-widens both with the aggregated edge
+    context and averages adjacent feature pairs (nodes) or triples (edges)
+    back to H; residual adds h and b; dropout_rate > 0 draws h's mask, then
+    b's, each through np.random.default_rng(rng).
+
+    The NumPy operations are those of the composed chain of engine ops
+    (matmul, gather_rows, concat, leaky_relu, segment_softmax, mul,
+    scatter_rows, reshape, tmean, add, dropout), in its order, so outputs and
+    gradients are the same bytes. The tape node keeps only hw, bw, the
+    logits, alpha and the dropout masks as bool; backward rebuilds the
+    (E, 3H) concatenation and the hw[dst] gather from them.
+    """
+    op = "edge_attention"
+    h = _as_tensor(h)
+    b, wh, wb, att = (_as_tensor(t, like_dtype=h.dtype) for t in (b, wh, wb, att))
+    src, dst = (np.asarray(i, dtype=np.int64) for i in edges)
+    num_nodes, hidden = h.shape if h.ndim == 2 else (0, 0)
+    num_edges = b.shape[0]
+    if (h.ndim != 2 or b.shape != (num_edges, hidden) or wh.shape != (hidden, hidden)
+            or wb.shape != (hidden, hidden) or att.shape != (3 * hidden, 1)
+            or src.shape != (num_edges,) or dst.shape != (num_edges,)):
+        raise ShapeError(f"{op}: shapes disagree, h={h.shape} b={b.shape} wh={wh.shape} "
+                         f"wb={wb.shape} att={att.shape} edges={src.shape}/{dst.shape}")
+    if len({t.dtype for t in (h, b, wh, wb, att)}) != 1:
+        raise EngineError(f"{op}: inputs must share one dtype")
+    if np.any(src[1:] < src[:-1]):
+        raise ShapeError(f"{op}: edges must be sorted by source")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise EngineError(f"{op}: dropout rate must be in [0, 1), got {dropout_rate}")
+    sum_src, sum_dst = _segment_summer(src, num_nodes), _segment_summer(dst, num_nodes)
+
+    hw = h.data @ wh.data
+    bw = b.data @ wb.data
+    _check_finite(op, hw)
+    _check_finite(op, bw)
+    hw_dst = hw[dst]
+    logits = np.concatenate([hw[src], bw, hw_dst], axis=1) @ att.data
+    if leaky_slope is not None:
+        slope = float(leaky_slope)
+        scores = np.where(logits > 0, logits, logits * slope)
+    else:
+        scores = logits
+    alpha, softmax_grad = _softmax_runs(scores, src)
+    _check_finite(op, alpha)
+    h_msg = sum_src(alpha * hw_dst)
+    b_msg = alpha * bw
+    if message_concat:
+        h_out = _short_mean(np.concatenate([h_msg, sum_src(b_msg)], axis=1)
+                            .reshape(num_nodes, hidden, 2), 2)
+        b_out = _short_mean(np.concatenate([h_msg[src], b_msg, h_msg[dst]], axis=1)
+                            .reshape(num_edges, hidden, 3), 2)
+    else:
+        h_out, b_out = h_msg, b_msg
+    if residual:
+        h_out = h_out + h.data
+        b_out = b_out + b.data
+    keep_h = keep_b = None
+    if dropout_rate > 0:
+        factor = 1.0 / (1.0 - dropout_rate)
+        keep_h = np.random.default_rng(rng).random(h_out.shape) >= dropout_rate
+        h_out = h_out * keep_h * factor
+        keep_b = np.random.default_rng(rng).random(b_out.shape) >= dropout_rate
+        b_out = b_out * keep_b * factor
+    _check_finite(op, h_out)
+    _check_finite(op, b_out)
+    dtype = h.dtype
+
+    def acc(prev, g):
+        # _accum's arithmetic for a gradient that stays inside the op
+        return g.astype(dtype, copy=False) if prev is None else (prev + g).astype(dtype, copy=False)
+
+    def back(g_hout, g_bout):
+        # The chain's backward, node by node in reverse; a branch whose
+        # output got no gradient is skipped, not fed zeros.
+        if keep_h is not None:
+            if g_bout is not None:
+                g_bout = acc(None, g_bout * keep_b * factor)
+            if g_hout is not None:
+                g_hout = acc(None, g_hout * keep_h * factor)
+        if residual:
+            if g_bout is not None:
+                _accum(b, g_bout)
+            if g_hout is not None:
+                _accum(h, g_hout)
+        if message_concat:
+            g_hmsg = g_bmsg = None
+            if g_bout is not None:
+                g_cat = np.repeat(g_bout / 3, 3, axis=1)
+                g_bmsg = g_cat[:, hidden:2 * hidden]
+                g_hmsg = acc(sum_dst(g_cat[:, 2 * hidden:]), sum_src(g_cat[:, :hidden]))
+            if g_hout is not None:
+                g_cat = np.repeat(g_hout / 2, 2, axis=1)
+                g_hmsg = acc(g_hmsg, g_cat[:, :hidden])
+                g_bmsg = acc(g_bmsg, g_cat[:, hidden:][src])
+        else:
+            g_hmsg, g_bmsg = g_hout, g_bout
+
+        need_hw = h.requires_grad or wh.requires_grad
+        need_bw = b.requires_grad or wb.requires_grad
+        g_alpha = g_bw = g_hw_dst = None
+        hw_at_dst = hw[dst]
+        if g_bmsg is not None:
+            g_alpha = acc(None, (g_bmsg * bw).sum(axis=1, keepdims=True))
+            if need_bw:
+                g_bw = acc(None, g_bmsg * alpha)
+        if g_hmsg is not None:
+            g_m = g_hmsg[src]
+            g_alpha = acc(g_alpha, (g_m * hw_at_dst).sum(axis=1, keepdims=True))
+            if need_hw:
+                g_hw_dst = acc(None, g_m * alpha)
+        g_logits = acc(None, softmax_grad(g_alpha))
+        if leaky_slope is not None:
+            g_logits = acc(None, g_logits * np.where(logits > 0, 1.0, slope))
+
+        if att.requires_grad:
+            trip = np.concatenate([hw[src], bw, hw_at_dst], axis=1)
+            _accum(att, trip.T @ g_logits)
+        if not (need_hw or need_bw):
+            return
+        # g_logits @ att.T as a broadcast product: the same bytes, without the
+        # slow K = 1 GEMM
+        g_trip = g_logits * att.data.T
+        if need_bw:
+            g_bw = acc(g_bw, g_trip[:, hidden:2 * hidden])
+            if b.requires_grad:
+                _accum(b, g_bw @ wb.data.T)
+            if wb.requires_grad:
+                _accum(wb, b.data.T @ g_bw)
+        if need_hw:
+            g_hw_dst = acc(g_hw_dst, g_trip[:, 2 * hidden:])
+            g_hw = acc(sum_src(g_trip[:, :hidden]), sum_dst(g_hw_dst))
+            if h.requires_grad:
+                _accum(h, g_hw @ wh.data.T)
+            if wh.requires_grad:
+                _accum(wh, h.data.T @ g_hw)
+
+    h_next, b_next = _record_pair(op, (h_out, b_out), (h, b, wh, wb, att), back)
+    return h_next, b_next, alpha[:, 0].copy()
+
+
+# ---------------------------------------------------------------------------
 # backward
 
 
 def backward(tape, loss, params=None):
     """Accumulate gradients for one recorded forward pass.
 
-    Visits ops in reverse execution order exactly once, and consumes the tape:
+    Visits ops in reverse execution order exactly once (a node with two
+    outputs runs once, with both gradients), and consumes the tape:
     each op's record, and the gradient of its output, is dropped as soon as
     the op has passed that gradient on, so intermediate arrays are freed
     during the pass. Returns a dict of gradient arrays when `params`
@@ -785,14 +981,19 @@ def backward(tape, loss, params=None):
         for p in params.values():
             p.grad = None
     for out, inputs, _ in tape._nodes:
-        out.grad = None
-        for t in inputs:
+        for t in (*out, *inputs) if isinstance(out, tuple) else (out, *inputs):
             t.grad = None
     loss.grad = np.ones_like(loss.data)
     nodes = tape._nodes
     while nodes:
         out, _, backfn = nodes.pop()
-        if out.grad is not None:
+        if isinstance(out, tuple):  # a node with several outputs runs once
+            grads = [t.grad for t in out]
+            if any(g is not None for g in grads):
+                backfn(*grads)
+            for t in out:
+                t.grad = None
+        elif out.grad is not None:
             backfn(out.grad)
             out.grad = None
     if params is not None:

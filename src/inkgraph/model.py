@@ -172,45 +172,14 @@ def edge_attention_layer(h, b, edges, params, q, config, train=False, rng=None):
     edges edges = (src, dst), sorted by source. Attention logits score
     [W_h h_src ++ W_b b ++ W_h h_dst] and are normalized over each source's
     out-edges; a node without out-edges receives no message. The attention
-    comes back as one weight per edge, shape (E,).
+    comes back as one weight per edge, shape (E,). The layer is one engine
+    op, eg.edge_attention, with one tape node.
     """
-    src, dst = edges
-    num_nodes, hidden = h.shape
-    num_edges = b.shape[0]
-
-    hw = eg.matmul(h, params[f"layer{q}.wh"])
-    bw = eg.matmul(b, params[f"layer{q}.wb"])
-    hw_dst = eg.gather_rows(hw, dst)
-    trip = eg.concat([eg.gather_rows(hw, src), bw, hw_dst], axis=1)
-    logits = eg.matmul(trip, params[f"layer{q}.att"])
-    if config.attn_leaky_relu:
-        logits = eg.leaky_relu(logits, config.leaky_slope)
-    alpha = eg.segment_softmax(logits, src)
-
-    h_msg = eg.scatter_rows(eg.mul(alpha, hw_dst), src, num_nodes)
-    b_msg = eg.mul(alpha, bw)
-
-    if config.message_concat:
-        # re-widen with the aggregated edge context, then average adjacent
-        # feature pairs (nodes) or triples (edges) back to width
-        node_cat = eg.concat([h_msg, eg.scatter_rows(b_msg, src, num_nodes)], axis=1)
-        h_next = eg.tmean(eg.reshape(node_cat, (num_nodes, hidden, 2)), axis=2)
-        edge_cat = eg.concat([eg.gather_rows(h_msg, src), b_msg,
-                              eg.gather_rows(h_msg, dst)], axis=1)
-        b_next = eg.tmean(eg.reshape(edge_cat, (num_edges, hidden, 3)), axis=2)
-    else:
-        h_next = h_msg
-        b_next = b_msg
-
-    if config.residual:
-        h_next = eg.add(h_next, h)
-        b_next = eg.add(b_next, b)
-
-    if train and config.dropout > 0:
-        h_next = eg.dropout(h_next, config.dropout, rng)
-        b_next = eg.dropout(b_next, config.dropout, rng)
-
-    return h_next, b_next, alpha.data[:, 0].copy()
+    return eg.edge_attention(
+        h, b, params[f"layer{q}.wh"], params[f"layer{q}.wb"], params[f"layer{q}.att"], edges,
+        leaky_slope=config.leaky_slope if config.attn_leaky_relu else None,
+        message_concat=config.message_concat, residual=config.residual,
+        dropout_rate=config.dropout if train else 0.0, rng=rng)
 
 
 # ---------------------------------------------------------------------------

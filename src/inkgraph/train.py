@@ -209,6 +209,10 @@ def fit(train_items, val_items, model_config, train_config, edge_dim, progress=N
                                     train_config)
                 grads = backward(tape, loss, params)
             opt.step(grads)
+            # the gradients are spent: release them before the next forward
+            del grads
+            for p in params.values():
+                p.grad = None
             batch_losses.append(float(loss.data))
         train_loss = float(np.mean(batch_losses))
 

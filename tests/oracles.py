@@ -100,6 +100,65 @@ def unfused_conv_block(x, params, prefix, cin, cout):
     return eg.add(act, skip)
 
 
+def chained_attention_layer(h, b, edges, params, q, config, train=False, rng=None):
+    """model.edge_attention_layer as the chain of single engine ops (matmul,
+    gather_rows, concat, leaky_relu, segment_softmax, mul, scatter_rows,
+    reshape, tmean, add, dropout) that the fused edge_attention op replaced:
+    24 tape nodes per layer. Returns (h', b', attention ndarray)."""
+    from inkgraph import engine as eg
+
+    src, dst = edges
+    num_nodes, hidden = h.shape
+    num_edges = b.shape[0]
+
+    hw = eg.matmul(h, params[f"layer{q}.wh"])
+    bw = eg.matmul(b, params[f"layer{q}.wb"])
+    hw_dst = eg.gather_rows(hw, dst)
+    trip = eg.concat([eg.gather_rows(hw, src), bw, hw_dst], axis=1)
+    logits = eg.matmul(trip, params[f"layer{q}.att"])
+    if config.attn_leaky_relu:
+        logits = eg.leaky_relu(logits, config.leaky_slope)
+    alpha = eg.segment_softmax(logits, src)
+
+    h_msg = eg.scatter_rows(eg.mul(alpha, hw_dst), src, num_nodes)
+    b_msg = eg.mul(alpha, bw)
+
+    if config.message_concat:
+        # re-widen with the aggregated edge context, then average adjacent
+        # feature pairs (nodes) or triples (edges) back to width
+        node_cat = eg.concat([h_msg, eg.scatter_rows(b_msg, src, num_nodes)], axis=1)
+        h_next = eg.tmean(eg.reshape(node_cat, (num_nodes, hidden, 2)), axis=2)
+        edge_cat = eg.concat([eg.gather_rows(h_msg, src), b_msg,
+                              eg.gather_rows(h_msg, dst)], axis=1)
+        b_next = eg.tmean(eg.reshape(edge_cat, (num_edges, hidden, 3)), axis=2)
+    else:
+        h_next = h_msg
+        b_next = b_msg
+
+    if config.residual:
+        h_next = eg.add(h_next, h)
+        b_next = eg.add(b_next, b)
+
+    if train and config.dropout > 0:
+        h_next = eg.dropout(h_next, config.dropout, rng)
+        b_next = eg.dropout(b_next, config.dropout, rng)
+
+    return h_next, b_next, alpha.data[:, 0].copy()
+
+
+def reduceat_segment_sum(x, ids, num_rows):
+    """engine._segment_sum as one reduceat over id-sorted rows for every id
+    pattern, the form before distinct ids were placed."""
+    out = np.zeros((num_rows,) + x.shape[1:], dtype=x.dtype)
+    if ids.size:
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            x, ids = x[order], ids[order]
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        out[ids[starts]] = np.add.reduceat(x, starts, axis=0)
+    return out
+
+
 def whole_array_adam_step(p, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update of arrays p, m, v in place, each as one whole-array
     expression (the engine's update before it was blocked)."""

@@ -194,6 +194,20 @@ def test_gradient_suite():
          {"x": r3((2, 3, 10)), "dw_w": r3((3, 1, 9)), "dw_b": r3((3,)), "pw_w": r3((4, 3, 1)),
           "pw_b": r3((4,)), "proj_w": r3((4, 3, 1)), "proj_b": r3((4,))}),
     ]
+    # the fused attention layer, from a generator of its own: node 3 sends
+    # no message, both outputs reach the loss through dropout, and the
+    # weights are scaled down so that no softmax saturates
+    r4 = np.random.default_rng(3).standard_normal
+    att_edges = (np.array([0, 0, 1, 2, 2]), np.array([1, 3, 2, 0, 3]))
+    wah, wab = r4((4, 4)), r4((5, 4))
+    cases += [
+        ("edge_attention", lambda t: (lambda hb: eg.add(
+            eg.tsum(eg.mul(hb[0], Tensor(wah))), eg.tsum(eg.mul(hb[1], Tensor(wab)))))(
+            eg.edge_attention(t["h"], t["b"], t["wh"], t["wb"], t["att"], att_edges,
+                              leaky_slope=0.2, dropout_rate=0.25, rng=5)),
+         {"h": r4((4, 4)), "b": r4((5, 4)), "wh": 0.5 * r4((4, 4)), "wb": 0.5 * r4((4, 4)),
+          "att": 0.25 * r4((12, 1))}),
+    ]
     worst_primitive = 0.0
     for name, build, arrays in cases:
         err = fd_worst(build, arrays)

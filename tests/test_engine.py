@@ -9,8 +9,8 @@ from inkgraph.engine import (Adam, EngineError, NonFiniteError, PlateauScheduler
                              ShapeError, Tape, Tensor, backward, load_checkpoint,
                              save_checkpoint)
 
-from oracles import (finite_diff_grad, naive_conv1d, naive_conv1d_grads, rel_err,
-                     unfused_conv_block, whole_array_adam_step)
+from oracles import (finite_diff_grad, naive_conv1d, naive_conv1d_grads, reduceat_segment_sum,
+                     rel_err, unfused_conv_block, whole_array_adam_step)
 
 TOL = 1e-5
 EPS = 1e-6
@@ -234,6 +234,23 @@ def test_scatter_and_gather_match_add_at_on_unsorted_and_empty_indices():
         assert rel_err(t.grad, want) < 1e-15
 
 
+def test_segment_sum_matches_the_reduceat_path_byte_for_byte():
+    # distinct ids are placed, not reduced; the bytes are the reduceat's,
+    # signed zeros included
+    rng = np.random.default_rng(17)
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((6, 4)).astype(dtype)
+        x[1, :2] = -0.0
+        x[3] = -0.0
+        for ids in ([0, 2, 3, 5, 6, 8], [1, 1, 2, 4, 4, 4], [5, 0, 3, 1, 8, 2],
+                    [4, 0, 4, 2, 0, 4], [3], []):
+            ids = np.array(ids, dtype=np.int64)
+            rows = x[:ids.size]
+            for got in (eg._segment_sum(rows, ids, 9), eg._segment_summer(ids, 9)(rows)):
+                want = reduceat_segment_sum(rows, ids, 9)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), ids
+
+
 def test_conv1d_across_group_blocks_matches_naive_oracle_and_finite_differences():
     # the grouped kernel's forward runs one einsum per block of
     # eg._GROUP_BLOCK groups: one channel, a partial block and more groups
@@ -360,8 +377,8 @@ def test_sepconv_block_matches_finite_differences_and_records_one_node():
 
 
 def test_inputs_without_requires_grad_get_none_and_leave_the_rest_bit_identical():
-    # matmul, conv1d (both kernels) and sepconv_block skip the gradient of an
-    # input that needs none; every other input's gradient keeps its bits
+    # matmul, conv1d (both kernels), sepconv_block and edge_attention skip the
+    # gradient of an input that needs none; every other input's gradient keeps its bits
     rng = np.random.default_rng(16)
     block = _block_params(rng, 3, 4)
     block["x"] = rng.standard_normal((2, 3, 12))
@@ -376,6 +393,12 @@ def test_inputs_without_requires_grad_get_none_and_leave_the_rest_bit_identical(
          block),
         (lambda t: eg.sepconv_block(t["x"], *(t[f"b.{n}"] for n in BLOCK_ORDER), padding=4,
                                     pool=True), block),
+        (lambda t: eg.concat(eg.edge_attention(
+            t["h"], t["b"], t["wh"], t["wb"], t["att"], ([0, 0, 1, 2], [1, 2, 0, 1]),
+            leaky_slope=0.2, dropout_rate=0.3, rng=4)[:2], axis=0),
+         {"h": rng.standard_normal((3, 4)), "b": rng.standard_normal((4, 4)),
+          "wh": rng.standard_normal((4, 4)), "wb": rng.standard_normal((4, 4)),
+          "att": rng.standard_normal((12, 1))}),
     ]
     for build, arrays in cases:
         def grads(frozen):
@@ -457,6 +480,11 @@ def test_shape_errors_name_the_op():
         eg.conv1d(Tensor(np.zeros((1, 4, 5))), Tensor(np.zeros((4, 3, 3))), groups=2)
     with pytest.raises(ShapeError, match="gather_rows"):
         eg.gather_rows(Tensor(np.zeros((3, 2))), np.zeros((2, 2), dtype=np.int64))
+    h, b, w = np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2))
+    with pytest.raises(ShapeError, match="edge_attention: shapes"):
+        eg.edge_attention(h, b, w, w, np.zeros((4, 1)), ([0, 1], [1, 2]))
+    with pytest.raises(ShapeError, match="edge_attention: edges must be sorted"):
+        eg.edge_attention(h, b, w, w, np.zeros((6, 1)), ([1, 0], [2, 1]))
 
 
 def test_non_finite_forward_raises():

@@ -1,6 +1,8 @@
 """Model tests: parameter inventory, embedder oracles, attention-layer
 semantics, permutation equivariance, stage wiring, and end-to-end gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, BatchResult, Model
                             init_parameters, node_embed)
 from inkgraph.synth import compose, generate_synthetic
 
-from oracles import (dense_attention, dense_edge_logits, finite_diff_grad,
-                     interleaved_forward, naive_conv1d, rel_err)
+from oracles import (chained_attention_layer, dense_attention, dense_edge_logits,
+                     finite_diff_grad, interleaved_forward, naive_conv1d, rel_err)
 
 
 def _small_config(**kw):
@@ -333,6 +335,95 @@ def test_dropout_branch_is_seeded_and_training_only():
     assert not np.array_equal(t1.data, t3.data)
 
 
+def _taped_layer(layer, h, b, edges, params, cfg, rng=None, outputs=("h", "b")):
+    """h', b', the attention and the gradients of h, b, wh, wb and att of one
+    attention layer under a tape, whose loss weighs the chosen outputs."""
+    h, b = Tensor(h.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    local = {k: Tensor(params[k].data.copy(), requires_grad=True)
+             for k in ("layer0.wh", "layer0.wb", "layer0.att")}
+    weights = np.random.default_rng(9)
+    with Tape() as tape:
+        h_next, b_next, att = layer(h, b, edges, local, 0, cfg, train=rng is not None, rng=rng)
+        terms = [eg.tsum(eg.mul(out, Tensor(weights.standard_normal(out.shape))))
+                 for name, out in (("h", h_next), ("b", b_next)) if name in outputs]
+        backward(tape, terms[0] if len(terms) == 1 else eg.add(*terms))
+    return [h_next.data, b_next.data, att] + [t.grad for t in (h, b, *local.values())]
+
+
+def _all_same_bytes(got, want):
+    for k, (g, w) in enumerate(zip(got, want, strict=True)):
+        assert (g is None) == (w is None), k
+        assert g is None or _same_bytes(g, w), k
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_op_matches_the_chained_ops_byte_for_byte(dtype):
+    rng = np.random.default_rng(12)
+    n, hidden = 7, 16
+    adj = (rng.random((n, n)) < 0.5).astype(np.int8)
+    np.fill_diagonal(adj, 0)
+    adj[3] = 0  # node 3 has in-edges but sends no message
+    adj[0, 3] = adj[5, 3] = 1
+    edges = edge_index(adj)
+    h = rng.standard_normal((n, hidden)).astype(dtype)
+    b = rng.standard_normal((len(edges[0]), hidden)).astype(dtype)
+    no_edges = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+    def check(cfg, h, b, edges, make_rng=lambda: None, outputs=("h", "b")):
+        # make_rng gives each side its own rng in the same state
+        params = init_parameters(cfg, edge_dim=3, seed=1, dtype=dtype)
+        _randomize(params, np.random.default_rng(2), scale=0.3)
+        got = _taped_layer(edge_attention_layer, h, b, edges, params, cfg, make_rng(), outputs)
+        want = _taped_layer(chained_attention_layer, h, b, edges, params, cfg, make_rng(),
+                            outputs)
+        _all_same_bytes(got, want)
+
+    for concat in (False, True):
+        for residual in (False, True):
+            for leaky in (False, True):
+                check(_small_config(hidden=hidden, message_concat=concat, residual=residual,
+                                    attn_leaky_relu=leaky), h, b, edges)
+    cfg = _small_config(hidden=hidden, dropout=0.3)
+
+    def generator():
+        return np.random.default_rng(5)
+
+    for make_rng in (generator, lambda: 5):
+        check(cfg, h, b, edges, make_rng)
+    check(cfg, h, b[:0], no_edges, generator)
+    for concat in (False, True):
+        for outputs in (("h",), ("b",)):
+            check(_small_config(hidden=hidden, dropout=0.3, message_concat=concat),
+                  h, b, edges, generator, outputs)
+
+
+def test_attention_op_records_one_node_and_keeps_no_concatenation():
+    # the train-paper shapes: 37 nodes, 262 directed edges, width 512
+    rng = np.random.default_rng(13)
+    n, hidden, num_edges = 37, 512, 262
+    flat = np.sort(rng.choice(n * n, size=num_edges, replace=False))
+    edges = (flat // n, flat % n)
+    cfg = _small_config(hidden=hidden, dropout=0.1)
+    params = init_parameters(cfg, edge_dim=3, seed=0)
+    h = Tensor(rng.standard_normal((n, hidden)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal((num_edges, hidden)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            h_next, b_next, _ = edge_attention_layer(h, b, edges, params, 0, cfg, train=True,
+                                                     rng=np.random.default_rng(0))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        assert len(tape) == 1
+    finally:
+        tracemalloc.stop()
+    # the outputs, hw and bw, and two bool masks, plus a little index and
+    # bookkeeping; the (E, 3 * hidden) concatenation alone would add 1.6 MB,
+    # one (E, hidden) gather 0.5 MB
+    rows = (n + num_edges) * hidden
+    assert kept < rows * (4 + 4 + 1) + 0.25 * num_edges * hidden * 4
+
+
 # ---------------------------------------------------------------------------
 # full forward
 
@@ -383,7 +474,7 @@ def test_nan_in_a_node_feature_or_parameter_raises_where_it_is_first_computed_on
     g = _rand_graph(rng, 5, edge_dim=7, master=True)
     forward(g, params, cfg)
     params["layer1.att"].data[0, 0] = np.nan  # gathered and concatenated rows meet it in matmul
-    with pytest.raises(eg.NonFiniteError, match="^matmul:"):
+    with pytest.raises(eg.NonFiniteError, match="^edge_attention:"):
         forward(g, params, cfg)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from inkgraph import engine as eg
+from inkgraph import train as train_module
 from inkgraph.engine import Tape, Tensor, backward
 from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
                              build_local_graph, split_subexpressions)
@@ -432,6 +433,36 @@ def test_fit_best_params_are_a_separate_snapshot_of_the_best_epoch():
         assert not np.shares_memory(best, p.data)
         assert best.dtype == p.data.dtype
         assert best.tobytes() == upto_best.params[k].data.tobytes(), k
+
+
+def test_fit_releases_each_steps_gradients(monkeypatch):
+    # neither the next forward, the progress callback nor the result holds a
+    # step's gradients once Adam has applied them
+    items, vocab, gcfg = _fit_items()
+    mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
+                       edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.1)
+    tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=2, dropout=0.1, seed=5)
+    made, stepped, seen = [], [], []
+
+    def init(*args, **kwargs):
+        made.append(init_parameters(*args, **kwargs))
+        return made[-1]
+
+    step = eg.Adam.step
+
+    def counted_step(opt, grads):
+        stepped.append(sum(p.grad is not None for p in made[0].values()))
+        step(opt, grads)
+
+    monkeypatch.setattr(train_module, "init_parameters", init)
+    monkeypatch.setattr(eg.Adam, "step", counted_step)
+    result = fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim,
+                 progress=lambda row: seen.append(
+                     [k for k, p in made[0].items() if p.grad is not None]))
+    assert len(stepped) == 4 and min(stepped) > 0  # two steps an epoch, with gradients
+    assert seen == [[], []]
+    assert result.params is made[0]
+    assert all(p.grad is None for p in result.params.values())
 
 
 def test_fit_is_deterministic_for_a_seed():
