@@ -296,7 +296,6 @@ def _cmd_train(args):
     train_cfg = _train_config(cfg, args, graph_cfg)
 
     if train_cfg.val_fraction > 0.0:
-        import numpy as np
         rng = np.random.default_rng(train_cfg.seed)
         perm = rng.permutation(len(pairs))
         n_val = max(1, int(round(train_cfg.val_fraction * len(pairs))))

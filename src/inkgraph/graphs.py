@@ -56,21 +56,18 @@ class GraphConfig:
 
 @dataclass
 class ModeledGraph:
-    """Attributed stroke graph. Masks gate the loss, not message passing."""
+    """Attributed stroke graph: what the model reads. The training targets
+    and their loss masks live on AlignedLabels."""
 
     adjacency: np.ndarray
     node_features: np.ndarray
     edge_features: np.ndarray
-    node_mask: np.ndarray
-    edge_mask: np.ndarray
     has_master: bool = False
 
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency, dtype=np.int8)
         self.node_features = np.asarray(self.node_features, dtype=np.float32)
         self.edge_features = np.asarray(self.edge_features, dtype=np.float32)
-        self.node_mask = np.asarray(self.node_mask, dtype=np.float32)
-        self.edge_mask = np.asarray(self.edge_mask, dtype=np.float32)
         n = self.adjacency.shape[0]
         if self.adjacency.shape != (n, n):
             raise GraphError("adjacency must be square")
@@ -85,8 +82,6 @@ class ModeledGraph:
                 raise GraphError("master row must link to every node")
         if self.node_features.shape[0] != n or self.edge_features.shape[:2] != (n, n):
             raise GraphError("feature shapes disagree with adjacency")
-        if self.node_mask.shape != (n,) or self.edge_mask.shape != (n, n):
-            raise GraphError("mask shapes disagree with adjacency")
         nonedges = self.adjacency == 0
         if np.any(self.edge_features[nonedges] != 0):
             raise GraphError("edge features must be zero off the adjacency support")
@@ -418,15 +413,13 @@ def build_local_graph(expression, config):
         adjacency=adj,
         node_features=node_features,
         edge_features=edge_features,
-        node_mask=np.ones(n, dtype=np.float32),
-        edge_mask=np.ones((n, n), dtype=np.float32),
         has_master=False,
     )
 
 
 def augment_global(graph):
     """Prepend a master node at index 0: linked to every stroke, feature = sum
-    of node features, zero edge features, excluded from the loss masks."""
+    of node features, zero edge features. It has no label, so no loss row."""
     if graph.has_master:
         raise GraphError("graph already has a master node")
     n = graph.num_nodes
@@ -438,63 +431,47 @@ def augment_global(graph):
         [graph.node_features.sum(axis=0, keepdims=True), graph.node_features], axis=0)
     edge_features = np.zeros((n + 1, n + 1) + graph.edge_features.shape[2:], dtype=np.float32)
     edge_features[1:, 1:] = graph.edge_features
-    node_mask = np.concatenate([[0.0], graph.node_mask]).astype(np.float32)
-    edge_mask = np.zeros((n + 1, n + 1), dtype=np.float32)
-    edge_mask[1:, 1:] = graph.edge_mask
     return ModeledGraph(adjacency=adj, node_features=node_features,
-                        edge_features=edge_features, node_mask=node_mask,
-                        edge_mask=edge_mask, has_master=True)
+                        edge_features=edge_features, has_master=True)
 
 
 def split_subexpressions(graph, aligned, config):
     """Cut a local graph into consecutive chunks of at most n_max strokes.
 
-    A chunk is strokes [lo, hi), not padded: its arrays are views of the
-    graph's and the labels' arrays, and only its masks are copies. A stroke
-    whose same-symbol partner falls outside its chunk keeps its features but
-    is dropped from the loss (node and incident edges). With a global config
-    each chunk gets a master node linked to its own strokes only. Returns
-    list of (graph, aligned) chunks.
+    A chunk is strokes [lo, hi), not padded: its graph arrays are views of
+    the graph's, and its labels are those of its strokes and of the pairs
+    inside it, which align_labels gives on the chunk's own adjacency. A
+    stroke whose same-symbol partner falls outside its chunk keeps its
+    features but is dropped from the loss: the chunk's masks zero it and
+    every pair that touches it. With a global config each chunk gets a master
+    node linked to its own strokes only. Returns list of (graph, aligned)
+    chunks.
     """
     if graph.has_master:
         raise GraphError("split before augmenting, not after")
 
-    n = graph.num_nodes
+    n, k = graph.num_nodes, config.n_max
+    chunk_i, chunk_j = aligned.pairs.T // k
+    # a '*' pair across a cut breaks both of its strokes
+    broken = np.zeros(n, dtype=bool)
+    broken[aligned.pairs[(chunk_i != chunk_j) & (aligned.edge_ids == SAME_SYMBOL_ID)]] = True
+    node_mask = np.where(broken, 0.0, aligned.node_mask)
+    edge_mask = np.where(broken[aligned.pairs].any(axis=1), 0.0, aligned.edge_mask)
     chunks = []
-    for lo in range(0, n, config.n_max):
-        hi = min(lo + config.n_max, n)
-        sl = slice(lo, hi)
-        broken = [b - lo for b in _strokes_with_partner_outside(aligned, lo, hi)]
-        node_mask = graph.node_mask[sl].copy()
-        node_mask[broken] = 0.0
-        edge_mask = graph.edge_mask[sl, sl].copy()
-        edge_mask[broken, :] = 0.0
-        edge_mask[:, broken] = 0.0
+    for lo in range(0, n, k):
+        sl = slice(lo, min(lo + k, n))
+        inside = (chunk_i == lo // k) & (chunk_j == lo // k)
         chunk_graph = ModeledGraph(adjacency=graph.adjacency[sl, sl],
                                    node_features=graph.node_features[sl],
-                                   edge_features=graph.edge_features[sl, sl],
-                                   node_mask=node_mask, edge_mask=edge_mask)
+                                   edge_features=graph.edge_features[sl, sl])
         if config.global_graph:
             chunk_graph = augment_global(chunk_graph)
         chunk_labels = AlignedLabels(node_ids=aligned.node_ids[sl],
-                                     edge_ids=aligned.edge_ids[sl, sl],
-                                     order_adj=aligned.order_adj[sl, sl])
+                                     pairs=aligned.pairs[inside] - lo,
+                                     edge_ids=aligned.edge_ids[inside],
+                                     node_mask=node_mask[sl], edge_mask=edge_mask[inside])
         chunks.append((chunk_graph, chunk_labels))
     return chunks
-
-
-def _strokes_with_partner_outside(aligned, lo, hi):
-    """Strokes in [lo, hi) sharing a '*' edge with a stroke outside the window."""
-    broken = set()
-    for i, j in zip(*np.nonzero(aligned.order_adj)):
-        if aligned.edge_ids[i, j] != SAME_SYMBOL_ID:
-            continue
-        ii, jj = int(i), int(j)
-        in_i = lo <= ii < hi
-        in_j = lo <= jj < hi
-        if in_i != in_j:
-            broken.add(ii if in_i else jj)
-    return broken
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +479,7 @@ def _strokes_with_partner_outside(aligned, lo, hi):
 
 
 def graph_to_json(graph):
-    """Self-contained JSON dump: shapes, row-major adjacency/masks, base64
+    """Self-contained JSON dump: shapes, row-major adjacency, base64
     little-endian float32 feature blobs."""
 
     def blob(arr):
@@ -513,8 +490,6 @@ def graph_to_json(graph):
         "n": graph.num_nodes,
         "has_master": graph.has_master,
         "adjacency": [int(v) for v in graph.adjacency.reshape(-1)],
-        "node_mask": [float(v) for v in graph.node_mask],
-        "edge_mask": [float(v) for v in graph.edge_mask.reshape(-1)],
         "node_feature_shape": list(graph.node_features.shape),
         "edge_feature_shape": list(graph.edge_features.shape),
         "node_features": blob(graph.node_features),

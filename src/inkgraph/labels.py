@@ -2,9 +2,9 @@
 
 A LabelGraph carries per-stroke symbol labels plus directed relation edges;
 '*' edges tie strokes of one symbol together. Training targets live on the
-upper triangle of the modeled adjacency (one directed slot per stroke pair,
-earlier stroke as source), so positional labels pointing backwards in writing
-order are stored as their opposite class.
+writing-order support of the modeled adjacency (one directed slot per linked
+stroke pair, earlier stroke as source), so positional labels pointing
+backwards in writing order are stored as their opposite class.
 """
 
 from __future__ import annotations
@@ -164,42 +164,50 @@ class LabelGraph:
 
 @dataclass
 class AlignedLabels:
-    """Class targets laid out on the writing-order adjacency support.
+    """Training targets of one stroke graph, laid out as forward's supports.
 
-    order_adj[i][j] = 1 iff j > i and the modeled adjacency links i and j;
-    edge_ids is defined exactly there (-1 elsewhere). dropped counts ground
-    truth relations that fell off the support.
+    node_ids holds one symbol class per stroke. pairs is the (P, 2) int64
+    writing-order support: the linked stroke pairs (i, j) with i < j, in
+    row-major order, exactly what forward returns as supports[g]. edge_ids
+    holds one relation class per pair. node_mask (n,) and edge_mask (P,)
+    weight the loss and default to ones; a chunk zeroes the strokes cut from
+    their symbol and every pair that touches one. dropped counts ground truth
+    relations that fell off the support.
     """
 
     node_ids: np.ndarray
+    pairs: np.ndarray
     edge_ids: np.ndarray
-    order_adj: np.ndarray
+    node_mask: np.ndarray = None
+    edge_mask: np.ndarray = None
     dropped: int = 0
 
     def __post_init__(self):
         self.node_ids = np.asarray(self.node_ids, dtype=np.int64)
+        self.pairs = np.asarray(self.pairs, dtype=np.int64)
         self.edge_ids = np.asarray(self.edge_ids, dtype=np.int64)
-        self.order_adj = np.asarray(self.order_adj, dtype=np.int8)
-        n = self.node_ids.shape[0]
-        if self.edge_ids.shape != (n, n) or self.order_adj.shape != (n, n):
-            raise LabelError("aligned labels: shape mismatch")
-        if np.any(np.tril(self.order_adj) != 0):
-            raise LabelError("aligned labels: support must be strictly upper triangular")
-        if np.any((self.edge_ids >= 0) != (self.order_adj == 1)):
-            raise LabelError("aligned labels: edge ids must cover exactly the support")
+        n, p = len(self.node_ids), len(self.pairs)
+        if self.node_mask is None:
+            self.node_mask = np.ones(n)
+        if self.edge_mask is None:
+            self.edge_mask = np.ones(p)
+        self.node_mask = np.asarray(self.node_mask, dtype=np.float32)
+        self.edge_mask = np.asarray(self.edge_mask, dtype=np.float32)
+        if self.node_ids.shape != (n,) or self.pairs.shape != (p, 2):
+            raise LabelError("aligned labels: node ids must be (n,) and pairs (P, 2)")
+        if (self.edge_ids.shape, self.node_mask.shape, self.edge_mask.shape) != ((p,), (n,), (p,)):
+            raise LabelError("aligned labels: edge ids and masks must match the pairs and nodes")
+        i, j = self.pairs.T
+        if np.any(i < 0) or np.any(i >= j) or np.any(j >= n):
+            raise LabelError("aligned labels: every pair must be (i, j) with 0 <= i < j < n")
+        if np.any(np.diff(i * n + j) <= 0):
+            raise LabelError("aligned labels: pairs must be sorted row-major, without repeats")
+        if np.any(self.node_ids < 0) or np.any(self.edge_ids < 0):
+            raise LabelError("aligned labels: class ids must be >= 0")
 
     @property
     def num_nodes(self):
         return self.node_ids.shape[0]
-
-    def support_pairs(self):
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.order_adj))]
-
-
-def order_support(adjacency):
-    """Upper-triangular view of a symmetric adjacency: one slot per linked pair."""
-    a = np.asarray(adjacency)
-    return np.triu(a, 1).astype(np.int8)
 
 
 def align_labels(label_graph, adjacency, vocab):
@@ -214,7 +222,6 @@ def align_labels(label_graph, adjacency, vocab):
     a = np.asarray(adjacency)
     if a.shape != (n, n):
         raise LabelError(f"adjacency {a.shape} does not match {n} strokes")
-    support = order_support(a)
     node_ids = np.array([vocab.symbol_id(s) for s in label_graph.node_labels], dtype=np.int64)
     fwd = {}
     star = set()
@@ -222,12 +229,12 @@ def align_labels(label_graph, adjacency, vocab):
     for src, dst, rel in label_graph.edges:
         i, j = min(src, dst), max(src, dst)
         if rel == SAME_SYMBOL:
-            if support[i, j]:
+            if a[i, j]:
                 star.add((i, j))
             else:
                 dropped += 1
             continue
-        if not support[i, j]:
+        if not a[i, j]:
             dropped += 1
             continue
         rid = vocab.relation_id(rel)
@@ -236,17 +243,10 @@ def align_labels(label_graph, adjacency, vocab):
         if prev is not None and prev != cls:
             raise LabelError(f"conflicting positional labels on stroke pair ({i},{j})")
         fwd[(i, j)] = cls
-    edge_ids = np.full((n, n), -1, dtype=np.int64)
-    for i, j in zip(*np.nonzero(support)):
-        key = (int(i), int(j))
-        if key in star:
-            edge_ids[i, j] = vocab.same_symbol_id
-        elif key in fwd:
-            edge_ids[i, j] = fwd[key]
-        else:
-            edge_ids[i, j] = vocab.no_edge_id
-    return AlignedLabels(node_ids=node_ids, edge_ids=edge_ids, order_adj=support,
-                         dropped=dropped)
+    pairs = np.argwhere(np.triu(a, 1))
+    edge_ids = [vocab.same_symbol_id if key in star else fwd.get(key, vocab.no_edge_id)
+                for key in map(tuple, pairs.tolist())]
+    return AlignedLabels(node_ids=node_ids, pairs=pairs, edge_ids=edge_ids, dropped=dropped)
 
 
 def _components(n, pairs):
@@ -280,8 +280,8 @@ def decode_labels(aligned, vocab):
     """
     n = aligned.num_nodes
     star_id = vocab.same_symbol_id
-    pairs = aligned.support_pairs()
-    comps = _components(n, [(i, j) for i, j in pairs if aligned.edge_ids[i, j] == star_id])
+    pairs = list(zip(aligned.pairs.tolist(), aligned.edge_ids.tolist()))
+    comps = _components(n, [pair for pair, cls in pairs if cls == star_id])
     comp_of = {i: root for root, members in comps.items() for i in members}
 
     node_labels = [None] * n
@@ -304,8 +304,7 @@ def decode_labels(aligned, vocab):
             for b in range(a + 1, len(ms)):
                 edges.add((ms[a], ms[b], SAME_SYMBOL))
     k = len(vocab.relations)
-    for i, j in pairs:
-        cls = int(aligned.edge_ids[i, j])
+    for (i, j), cls in pairs:
         if cls in (star_id, vocab.no_edge_id):
             continue
         if comp_of[i] == comp_of[j]:

@@ -24,16 +24,11 @@ def predict_aligned(result, reference):
     if len(result.supports) != 1:
         raise MetricsError(f"expected the forward result of one graph, "
                            f"got one of {len(result.supports)} graphs")
-    rows, cols = result.supports[0].T
-    node_ids = result.node_logits.data.argmax(axis=1).astype(np.int64)
-    n = node_ids.shape[0]
-    edge_ids = np.full((n, n), -1, dtype=np.int64)
-    edge_ids[rows, cols] = result.edge_logits.data.argmax(axis=1)
-    support = np.zeros((n, n), dtype=np.int8)
-    support[rows, cols] = 1
-    if reference is not None and not np.array_equal(support, reference.order_adj):
+    pairs = result.supports[0]
+    if not np.array_equal(pairs, reference.pairs):
         raise MetricsError("prediction support does not match the reference support")
-    return AlignedLabels(node_ids=node_ids, edge_ids=edge_ids, order_adj=support)
+    return AlignedLabels(node_ids=result.node_logits.data.argmax(axis=1), pairs=pairs,
+                         edge_ids=result.edge_logits.data.argmax(axis=1))
 
 
 def primitive_counts(result, node_labels, edge_labels, node_mask=None, edge_mask=None):
@@ -112,9 +107,8 @@ def evaluate_expression(expr_id, result, gold_aligned, gold_graph, vocab):
     """One per-expression metrics row from the forward result of one graph
     and its ground truth."""
     pred_graph = decode_labels(predict_aligned(result, gold_aligned), vocab)
-    rows, cols = result.supports[0].T
     node_correct, node_total, edge_correct, edge_total = primitive_counts(
-        result, gold_aligned.node_ids, gold_aligned.edge_ids[rows, cols])
+        result, gold_aligned.node_ids, gold_aligned.edge_ids)
     row = {
         "id": expr_id,
         "strokes": gold_aligned.num_nodes,

@@ -145,11 +145,6 @@ def node_embed(features, params):
     return eg.add(eg.matmul(x, params["enc.out.w"]), params["enc.out.b"])
 
 
-def _edge_mlp_rows(rows, params):
-    h1 = eg.relu(eg.add(eg.matmul(rows, params["edge.l1.w"]), params["edge.l1.b"]))
-    return eg.add(eg.matmul(h1, params["edge.l2.w"]), params["edge.l2.b"])
-
-
 def _readout(prefix, params, x):
     h1 = eg.relu(eg.add(eg.matmul(x, params[f"{prefix}.l1.w"]), params[f"{prefix}.l1.b"]))
     return eg.add(eg.matmul(h1, params[f"{prefix}.l2.w"]), params[f"{prefix}.l2.b"])
@@ -255,7 +250,7 @@ def forward(graphs, params, config, train=False, rng=None):
     sup_edges = np.concatenate(sup_edges)
 
     h0 = node_embed(np.concatenate([g.node_features for g in graphs]).astype(dtype), params)
-    b0 = _edge_mlp_rows(Tensor(np.concatenate(edge_rows).astype(dtype)), params)
+    b0 = _readout("edge", params, Tensor(np.concatenate(edge_rows).astype(dtype)))
     h0_strokes = eg.gather_rows(h0, strokes)
     b0_support = eg.gather_rows(b0, sup_edges)
 

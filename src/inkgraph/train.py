@@ -107,37 +107,35 @@ def total_loss(final_node, final_edge, aux_pairs, node_weight=0.5, aux_weight=0.
 # batching helpers
 
 
-def _local_masks(graph):
-    off = 1 if graph.has_master else 0
-    return graph.node_mask[off:], graph.edge_mask[off:, off:]
-
-
-def _stacked_targets(batch, targets, per_graph=False):
+def _stacked_targets(batch, labels, per_graph=False):
     """(node labels, node weights, edge labels, edge weights) of a batch: each
-    graph's labels and masks on its strokes and support pairs, stacked in
-    batch order. With per_graph, each graph's masks are divided by their sum."""
+    graph's AlignedLabels stacked in batch order. With per_graph, each graph's
+    masks are divided by their sum. Labels whose strokes or pairs are not the
+    graph's raise TrainError."""
     weigh = _per_graph if per_graph else np.asarray
     node_labels, node_weights, edge_labels, edge_weights = stacks = [], [], [], []
-    for support, (aligned, nmask, emask) in zip(batch.supports, targets, strict=True):
-        rows, cols = support.T
+    for g, (support, aligned) in enumerate(zip(batch.supports, labels, strict=True)):
+        strokes = batch.node_offsets[g + 1] - batch.node_offsets[g]
+        if aligned.num_nodes != strokes or not np.array_equal(support, aligned.pairs):
+            raise TrainError(f"graph {g} of the batch: its labels are not aligned to its "
+                             "strokes and support pairs")
         node_labels.append(aligned.node_ids)
-        node_weights.append(weigh(nmask))
-        edge_labels.append(aligned.edge_ids[rows, cols])
-        edge_weights.append(weigh(emask[rows, cols]))
+        node_weights.append(weigh(aligned.node_mask))
+        edge_labels.append(aligned.edge_ids)
+        edge_weights.append(weigh(aligned.edge_mask))
     return [np.concatenate(stack) for stack in stacks]
 
 
-def graph_losses(batch, targets, config, per_graph=False):
+def graph_losses(batch, labels, config, per_graph=False):
     """Total loss Tensor of one forward over a batch of graphs.
 
-    batch is the forward's BatchResult; targets holds (AlignedLabels,
-    node_mask, edge_mask) per graph, in batch order. The means run over every
-    unmasked primitive of the batch at once; with per_graph, each graph's
-    primitives are averaged on their own and the loss is the sum of the
-    graphs' losses.
+    batch is the forward's BatchResult; labels holds one AlignedLabels per
+    graph, in batch order, whose masks weight the loss. The means run over
+    every unmasked primitive of the batch at once; with per_graph, each
+    graph's primitives are averaged on their own and the loss is the sum of
+    the graphs' losses.
     """
-    nl_cat, nw_cat, el_cat, ew_cat = _stacked_targets(batch, targets, per_graph)
-    el_cat = np.where(el_cat < 0, 0, el_cat)  # slots without support never pass the mask
+    nl_cat, nw_cat, el_cat, ew_cat = _stacked_targets(batch, labels, per_graph)
     nw_cat = nw_cat.astype(np.float64)
     ew_cat = ew_cat.astype(np.float64)
     # per graph the weights are already normalized; else the mean runs over the batch
@@ -205,8 +203,7 @@ def fit(train_items, val_items, model_config, train_config, edge_dim, progress=N
             with Tape() as tape:
                 res = forward([g for g, _ in items], params, model_config, train=True,
                               rng=drop_rng)
-                loss = graph_losses(res, [(aligned, *_local_masks(g)) for g, aligned in items],
-                                    train_config)
+                loss = graph_losses(res, [aligned for _, aligned in items], train_config)
                 grads = backward(tape, loss, params)
             opt.step(grads)
             # the gradients are spent: release them before the next forward
@@ -244,9 +241,9 @@ def validate(items, params, model_config, train_config):
     for lo in range(0, len(items), train_config.batch_size):
         batch = items[lo:lo + train_config.batch_size]
         res = forward([g for g, _ in batch], params, model_config, train=False)
-        targets = [(aligned, *_local_masks(g)) for g, aligned in batch]
-        loss_sum += float(graph_losses(res, targets, train_config, per_graph=True).data)
-        node_labels, node_mask, edge_labels, edge_mask = _stacked_targets(res, targets)
+        labels = [aligned for _, aligned in batch]
+        loss_sum += float(graph_losses(res, labels, train_config, per_graph=True).data)
+        node_labels, node_mask, edge_labels, edge_mask = _stacked_targets(res, labels)
         counts += primitive_counts(res, node_labels, edge_labels, node_mask, edge_mask)
     return loss_sum / len(items), counts
 

@@ -222,7 +222,7 @@ def interleaved_forward(graphs, params, config):
     strokes, sup_edges = np.concatenate(strokes), np.concatenate(sup_edges)
     dtype = params["enc.out.w"].dtype
     h0 = model.node_embed(np.concatenate([g.node_features for g in graphs]).astype(dtype), params)
-    b0 = model._edge_mlp_rows(eg.Tensor(np.concatenate(edge_rows).astype(dtype)), params)
+    b0 = model._readout("edge", params, eg.Tensor(np.concatenate(edge_rows).astype(dtype)))
     h0_strokes, b0_support = eg.gather_rows(h0, strokes), eg.gather_rows(b0, sup_edges)
 
     def readout(prefix, h, b):
@@ -252,8 +252,6 @@ def graph_from_json(text):
         adjacency=np.array(doc["adjacency"], dtype=np.int8).reshape(n, n),
         node_features=unblob(doc["node_features"], doc["node_feature_shape"]),
         edge_features=unblob(doc["edge_features"], doc["edge_feature_shape"]),
-        node_mask=np.array(doc["node_mask"], dtype=np.float32),
-        edge_mask=np.array(doc["edge_mask"], dtype=np.float32).reshape(n, n),
         has_master=doc["has_master"],
     )
 

@@ -54,8 +54,6 @@ def _rand_graph(rng, n, edge_dim, d_n=10, master=False):
         adjacency=adj,
         node_features=rng.standard_normal((n, 2, d_n)),
         edge_features=rng.standard_normal((n, n, edge_dim)) * adj[:, :, None],
-        node_mask=np.ones(n),
-        edge_mask=np.ones((n, n)),
     )
     return augment_global(g) if master else g
 
@@ -302,9 +300,7 @@ def test_permutation_equivariance():
         perm = rng.permutation(n)
         gp = ModeledGraph(adjacency=g.adjacency[perm][:, perm],
                           node_features=g.node_features[perm],
-                          edge_features=g.edge_features[perm][:, perm],
-                          node_mask=g.node_mask[perm],
-                          edge_mask=g.edge_mask[perm][:, perm])
+                          edge_features=g.edge_features[perm][:, perm])
         out = forward(g, params, cfg)
         outp = forward(gp, params, cfg)
         worst = max(worst, float(
@@ -337,9 +333,8 @@ def test_masking_soundness():
     graph, chunk_labels = chunks[0]  # master-augmented
 
     # silence one real node and one real support edge
-    graph.node_mask[1 + 0] = 0.0
-    si, sj = chunk_labels.support_pairs()[0]
-    graph.edge_mask[1 + si, 1 + sj] = 0.0
+    chunk_labels.node_mask[0] = 0.0
+    chunk_labels.edge_mask[0] = 0.0
 
     mcfg = ModelConfig(hidden=8, layers=2, node_classes=vocab.num_symbols,
                        edge_classes=vocab.num_edge_classes, readout_hidden=6,
@@ -350,15 +345,14 @@ def test_masking_soundness():
     def run(labels):
         with Tape() as tape:
             res = forward([graph], params, mcfg)
-            loss = graph_losses(
-                res, [(labels, graph.node_mask[1:], graph.edge_mask[1:, 1:])], tcfg)
+            loss = graph_losses(res, [labels], tcfg)
             grads = backward(tape, loss, params)
         return float(loss.data), grads
 
     base_loss, base_grads = run(chunk_labels)
     # mutate the masked node and the masked edge
     chunk_labels.node_ids[0] = (chunk_labels.node_ids[0] + 9) % vocab.num_symbols
-    chunk_labels.edge_ids[si, sj] = (chunk_labels.edge_ids[si, sj] + 4) % vocab.num_edge_classes
+    chunk_labels.edge_ids[0] = (chunk_labels.edge_ids[0] + 4) % vocab.num_edge_classes
     new_loss, new_grads = run(chunk_labels)
 
     loss_delta = abs(new_loss - base_loss)

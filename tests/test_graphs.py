@@ -3,6 +3,7 @@ features, master-node augmentation, chunking, and JSON serialization."""
 
 import functools
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from inkgraph.graphs import (GraphConfig, GraphError, ModeledGraph,
                              split_subexpressions)
 from inkgraph.ink import (InkExpression, ResampledStroke, Stroke, normalize_expression,
                           resample_stroke)
-from inkgraph.labels import (SAME_SYMBOL, AlignedLabels, LabelGraph,
+from inkgraph.labels import (POSITIONAL_RELATIONS, SAME_SYMBOL, AlignedLabels, LabelGraph,
                              Vocabulary, align_labels)
 from inkgraph.synth import compose, generate_synthetic
 
@@ -495,7 +496,6 @@ def test_build_local_graph_shapes_and_zero_features_off_support():
     assert not g.has_master
     assert g.node_features.shape == (5, 2, 16)
     assert g.edge_features.shape == (5, 5, 15)
-    assert np.all(g.node_mask == 1.0) and np.all(g.edge_mask == 1.0)
     assert np.all(g.edge_features[g.adjacency == 0] == 0.0)
     linked = g.adjacency == 1
     assert np.all(g.edge_features[linked].reshape(linked.sum(), -1).any(axis=1))
@@ -512,9 +512,7 @@ def test_build_local_graph_full_connect_ablation():
 
 def test_modeled_graph_validation():
     ok = dict(node_features=np.zeros((2, 2, 4), dtype=np.float32),
-              edge_features=np.zeros((2, 2, 5), dtype=np.float32),
-              node_mask=np.ones(2, dtype=np.float32),
-              edge_mask=np.ones((2, 2), dtype=np.float32))
+              edge_features=np.zeros((2, 2, 5), dtype=np.float32))
     with pytest.raises(GraphError, match="diagonal"):
         ModeledGraph(adjacency=np.eye(2, dtype=np.int8), **ok)
     with pytest.raises(GraphError, match="symmetric"):
@@ -536,8 +534,6 @@ def test_augment_global_master_node_contract():
     assert np.array_equal(gg.node_features[1:], g.node_features)
     assert np.all(gg.edge_features[0] == 0.0) and np.all(gg.edge_features[:, 0] == 0.0)
     assert np.array_equal(gg.edge_features[1:, 1:], g.edge_features)
-    assert gg.node_mask[0] == 0.0 and np.all(gg.node_mask[1:] == 1.0)
-    assert np.all(gg.edge_mask[0] == 0.0) and np.all(gg.edge_mask[:, 0] == 0.0)
     with pytest.raises(GraphError, match="already has a master"):
         augment_global(gg)
 
@@ -563,12 +559,12 @@ def test_split_short_expression_is_one_unpadded_chunk():
     assert np.array_equal(cg.adjacency, g.adjacency)
     assert np.array_equal(cg.node_features, g.node_features)
     assert np.array_equal(cg.edge_features, g.edge_features)
-    assert cg.node_mask.tolist() == [1, 1, 1, 1, 1]
-    assert np.all(cg.edge_mask == 1)
     assert cl.num_nodes == 5
+    assert cl.node_mask.tolist() == [1, 1, 1, 1, 1]
+    assert np.all(cl.edge_mask == 1)
     assert np.array_equal(cl.node_ids, al.node_ids)
+    assert np.array_equal(cl.pairs, al.pairs)
     assert np.array_equal(cl.edge_ids, al.edge_ids)
-    assert np.array_equal(cl.order_adj, al.order_adj)
 
 
 def test_split_two_chunks_preserve_node_features_of_unmasked_strokes():
@@ -580,16 +576,16 @@ def test_split_two_chunks_preserve_node_features_of_unmasked_strokes():
     chunks = split_subexpressions(g, al, cfg)
     assert [cg.num_nodes for cg, _ in chunks] == [8, 2]
     rebuilt = np.concatenate(
-        [cg.node_features[cg.node_mask == 1.0] for cg, _ in chunks], axis=0)
+        [cg.node_features[cl.node_mask == 1.0] for cg, cl in chunks], axis=0)
     assert np.array_equal(rebuilt, g.node_features)
-    assert chunks[1][0].node_mask.tolist() == [1, 1]
+    assert chunks[1][1].node_mask.tolist() == [1, 1]
     for (cg, cl), (lo, hi) in zip(chunks, [(0, 8), (8, 10)]):
         sl = slice(lo, hi)
         assert np.array_equal(cg.adjacency, g.adjacency[sl, sl])
         assert np.array_equal(cg.edge_features, g.edge_features[sl, sl])
         assert np.array_equal(cl.node_ids, al.node_ids[sl])
-        assert np.array_equal(cl.edge_ids, al.edge_ids[sl, sl])
-        assert np.array_equal(cl.order_adj, al.order_adj[sl, sl])
+        assert np.array_equal(cl.pairs, np.argwhere(np.triu(g.adjacency[sl, sl], 1)))
+        assert np.all(cl.edge_ids == Vocabulary.default().no_edge_id)
 
 
 def test_split_masks_strokes_whose_symbol_crosses_the_cut():
@@ -602,17 +598,65 @@ def test_split_masks_strokes_whose_symbol_crosses_the_cut():
     chunks = split_subexpressions(g, al, cfg)
     c0g, c0l = chunks[0]
     c1g, c1l = chunks[1]
-    assert c0g.node_mask[7] == 0.0
-    assert np.all(c0g.edge_mask[7] == 0.0) and np.all(c0g.edge_mask[:, 7] == 0.0)
-    assert c0g.node_mask[:7].tolist() == [1] * 7
-    assert np.all(c0g.edge_mask[:7, :7] == 1.0)
-    assert c1g.node_mask.tolist() == [0, 1]  # stroke 8 masked
-    assert c1g.edge_mask.tolist() == [[0, 0], [0, 1]]
-    # masking leaves the source graph's masks alone
-    assert np.all(g.node_mask == 1.0) and np.all(g.edge_mask == 1.0)
+    assert c0l.node_mask.tolist() == [1] * 7 + [0]
+    # the 28 pairs of 8 strokes; the 7 that touch stroke 7 are masked
+    assert c0l.pairs.shape == (28, 2)
+    assert c0l.edge_mask.tolist() == [0.0 if 7 in pair else 1.0 for pair in c0l.pairs.tolist()]
+    assert c1l.node_mask.tolist() == [0, 1]  # stroke 8 masked
+    assert c1l.pairs.tolist() == [[0, 1]] and c1l.edge_mask.tolist() == [0]
+    # masking leaves the source labels' masks alone
+    assert np.all(al.node_mask == 1.0) and np.all(al.edge_mask == 1.0)
     # features survive even where the loss is masked
     assert np.array_equal(c0g.node_features[7], g.node_features[7])
     assert np.array_equal(c1g.node_features[0], g.node_features[8])
+
+
+def _random_symbols(rng, n):
+    """A LabelGraph over n strokes: symbols of 1 to 3 consecutive strokes,
+    each a '*' clique, and one positional relation, in either direction,
+    between a stroke of each symbol and one of the next."""
+    segments, lo = [], 0
+    while lo < n:
+        segments.append(list(range(lo, min(lo + int(rng.integers(1, 4)), n))))
+        lo = segments[-1][-1] + 1
+    edges = {(a, b, SAME_SYMBOL) for seg in segments for a in seg for b in seg if a < b}
+    for left, right in zip(segments, segments[1:]):
+        a, b = int(rng.choice(left)), int(rng.choice(right))
+        rel = str(rng.choice(POSITIONAL_RELATIONS))
+        edges.add((a, b, rel) if rng.random() < 0.5 else (b, a, rel))
+    return LabelGraph(node_labels=["1"] * n, edges=edges), segments
+
+
+@pytest.mark.parametrize("full_connect", [False, True], ids=["visibility", "fc"])
+def test_split_chunk_labels_are_the_chunks_own_alignment(full_connect):
+    vocab = Vocabulary.default()
+    cfg = GraphConfig(d_n=16, d_e=3, n_max=4, full_connect=full_connect)
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        n = int(rng.integers(5, 12))
+        expr = _expr(rng, n)
+        lg, segments = _random_symbols(rng, n)
+        g = build_local_graph(expr, cfg)
+        al = align_labels(lg, g.adjacency, vocab)
+        chunks = split_subexpressions(g, al, cfg)
+        assert len(chunks) == -(-n // 4)
+        for k, (_, cl) in enumerate(chunks):
+            lo, hi = 4 * k, min(4 * k + 4, n)
+            inside = {(s - lo, d - lo, r) for s, d, r in lg.edges if lo <= min(s, d) <= max(s, d) < hi}
+            own = align_labels(LabelGraph(lg.node_labels[lo:hi], inside),
+                               g.adjacency[lo:hi, lo:hi], vocab)
+            assert np.array_equal(cl.node_ids, own.node_ids)
+            assert np.array_equal(cl.pairs, own.pairs) and cl.pairs.dtype == np.int64
+            assert np.array_equal(cl.edge_ids, own.edge_ids)
+            masked = cl.node_mask == 0
+            assert cl.edge_mask.tolist() == [0.0 if masked[i] or masked[j] else 1.0
+                                             for i, j in cl.pairs.tolist()]
+            if full_connect:
+                # every '*' pair is on the support: the strokes cut from their
+                # symbol are those whose symbol reaches outside the chunk
+                cut = [any(not lo <= t < hi for t in seg) for seg in segments for s in seg
+                       if lo <= s < hi]
+                assert masked.tolist() == cut
 
 
 def test_split_augments_each_chunk_when_global():
@@ -641,6 +685,8 @@ def test_graph_json_round_trip_is_exact():
     assert np.array_equal(back.adjacency, g.adjacency)
     assert np.array_equal(back.node_features, g.node_features)
     assert np.array_equal(back.edge_features, g.edge_features)
-    assert np.array_equal(back.node_mask, g.node_mask)
-    assert np.array_equal(back.edge_mask, g.edge_mask)
     assert graph_to_json(back) == graph_to_json(g)
+    # the dump holds what the model reads, and no loss masks
+    assert sorted(json.loads(graph_to_json(g))) == [
+        "adjacency", "edge_feature_shape", "edge_features", "has_master", "n",
+        "node_feature_shape", "node_features"]

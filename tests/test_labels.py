@@ -5,8 +5,7 @@ import pytest
 
 from inkgraph.labels import (NO_EDGE, POSITIONAL_RELATIONS, SAME_SYMBOL,
                              AlignedLabels, LabelError, LabelGraph, Vocabulary,
-                             align_labels, decode_labels, order_support,
-                             serialize_lg)
+                             align_labels, decode_labels, serialize_lg)
 
 
 def test_default_vocabulary_inventory():
@@ -93,19 +92,42 @@ def test_segment_triples_anchor_relations_to_stroke_sets():
 
 def test_order_support_is_strict_upper_triangle():
     adj = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-    sup = order_support(adj)
-    assert np.array_equal(sup, [[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    lg = LabelGraph(node_labels=["1", "+", "2"])
+    al = align_labels(lg, adj, Vocabulary.default())
+    assert al.pairs.dtype == np.int64
+    assert al.pairs.tolist() == [[0, 1], [0, 2]]
+    assert al.node_mask.dtype == al.edge_mask.dtype == np.float32
+    assert al.node_mask.tolist() == [1, 1, 1] and al.edge_mask.tolist() == [1, 1]
 
 
 def test_aligned_labels_validation():
-    with pytest.raises(LabelError, match="upper triangular"):
-        AlignedLabels(node_ids=np.zeros(2, dtype=int),
-                      edge_ids=np.array([[-1, -1], [0, -1]]),
-                      order_adj=np.array([[0, 0], [1, 0]]))
-    with pytest.raises(LabelError, match="cover exactly"):
-        AlignedLabels(node_ids=np.zeros(2, dtype=int),
-                      edge_ids=np.array([[-1, -1], [-1, -1]]),
-                      order_adj=np.array([[0, 1], [0, 0]]))
+    ok = dict(node_ids=np.zeros(3, dtype=int), pairs=np.array([[0, 1], [0, 2], [1, 2]]),
+              edge_ids=np.array([0, 13, 12]))
+    AlignedLabels(**ok)
+    AlignedLabels(node_ids=np.zeros(2, dtype=int), pairs=np.zeros((0, 2), dtype=int),
+                  edge_ids=np.zeros(0, dtype=int))
+    bad_pairs = {
+        "sorted row-major": [[0, 2], [0, 1], [1, 2]],
+        "without repeats": [[0, 1], [0, 1], [1, 2]],
+        "i < j": [[0, 1], [0, 2], [2, 1]],
+        "0 <= i < j < n": [[0, 1], [0, 2], [1, 3]],
+    }
+    for match, pairs in bad_pairs.items():
+        with pytest.raises(LabelError, match=match):
+            AlignedLabels(**{**ok, "pairs": np.array(pairs)})
+    with pytest.raises(LabelError, match="0 <= i < j < n"):
+        AlignedLabels(**{**ok, "pairs": np.array([[-1, 1], [0, 2], [1, 2]])})
+    with pytest.raises(LabelError, match="i < j"):
+        AlignedLabels(**{**ok, "pairs": np.array([[0, 1], [1, 1], [1, 2]])})
+    with pytest.raises(LabelError, match=r"pairs \(P, 2\)"):
+        AlignedLabels(**{**ok, "pairs": np.array([0, 1, 2])})
+    for key, value in [("edge_ids", np.array([0, 13])), ("edge_mask", np.ones(4)),
+                       ("node_mask", np.ones(2))]:
+        with pytest.raises(LabelError, match="must match the pairs and nodes"):
+            AlignedLabels(**{**ok, key: value})
+    for key, value in [("edge_ids", np.array([0, -1, 12])), ("node_ids", np.array([0, 0, -1]))]:
+        with pytest.raises(LabelError, match="class ids must be >= 0"):
+            AlignedLabels(**{**ok, key: value})
 
 
 def _full(n):
@@ -118,18 +140,17 @@ def test_align_basic_forward_relations():
                     edges={(0, 1, "Right"), (1, 2, "Right")})
     al = align_labels(lg, _full(3), v)
     assert al.node_ids.tolist() == [v.symbol_id("1"), v.symbol_id("+"), v.symbol_id("2")]
-    assert al.edge_ids[0, 1] == v.relation_id("Right")
-    assert al.edge_ids[1, 2] == v.relation_id("Right")
-    assert al.edge_ids[0, 2] == v.no_edge_id
+    assert al.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert al.edge_ids.tolist() == [v.relation_id("Right"), v.no_edge_id,
+                                    v.relation_id("Right")]
     assert al.dropped == 0
-    assert al.support_pairs() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_align_stores_backward_relations_as_opposites():
     v = Vocabulary.default()
     lg = LabelGraph(node_labels=["2", "1"], edges={(1, 0, "Sup")})
     al = align_labels(lg, _full(2), v)
-    assert al.edge_ids[0, 1] == v.opposite(v.relation_id("Sup"))
+    assert al.edge_ids.tolist() == [v.opposite(v.relation_id("Sup"))]
 
 
 def test_align_same_symbol_takes_precedence():
@@ -137,7 +158,7 @@ def test_align_same_symbol_takes_precedence():
     lg = LabelGraph(node_labels=["=", "="],
                     edges={(1, 0, SAME_SYMBOL), (0, 1, "Right")})
     al = align_labels(lg, _full(2), v)
-    assert al.edge_ids[0, 1] == v.same_symbol_id
+    assert al.edge_ids.tolist() == [v.same_symbol_id]
 
 
 def test_align_counts_relations_dropped_off_support():
@@ -148,8 +169,8 @@ def test_align_counts_relations_dropped_off_support():
                     edges={(0, 1, "Right"), (1, 2, "Right"), (0, 2, "Right")})
     al = align_labels(lg, adj, v)
     assert al.dropped == 2
-    assert al.edge_ids[0, 1] == v.relation_id("Right")
-    assert al.order_adj.sum() == 1
+    assert al.pairs.tolist() == [[0, 1]]
+    assert al.edge_ids.tolist() == [v.relation_id("Right")]
 
 
 def test_align_rejects_conflicting_pair_labels():
@@ -220,40 +241,26 @@ def test_decode_inverts_align_on_full_support():
 
 def test_decode_majority_vote_breaks_ties_by_writing_order():
     vocab = Vocabulary.default()
-    star = vocab.same_symbol_id
-    edge_ids = np.full((2, 2), -1, dtype=np.int64)
-    edge_ids[0, 1] = star
-    sup = np.zeros((2, 2), dtype=np.int8)
-    sup[0, 1] = 1
     al = AlignedLabels(node_ids=np.array([vocab.symbol_id("7"), vocab.symbol_id("1")]),
-                       edge_ids=edge_ids, order_adj=sup)
+                       pairs=np.array([[0, 1]]), edge_ids=np.array([vocab.same_symbol_id]))
     out = decode_labels(al, vocab)
     assert out.node_labels == ["7", "7"]
 
 
 def test_decode_drops_positional_predictions_inside_a_segment():
     vocab = Vocabulary.default()
-    n = 3
-    edge_ids = np.full((n, n), -1, dtype=np.int64)
-    sup = np.zeros((n, n), dtype=np.int8)
-    sup[0, 1] = sup[0, 2] = sup[1, 2] = 1
-    edge_ids[0, 1] = vocab.same_symbol_id
-    edge_ids[0, 2] = vocab.relation_id("Right")
-    edge_ids[1, 2] = vocab.relation_id("Right")
+    pairs = np.array([[0, 1], [0, 2], [1, 2]])
+    right = vocab.relation_id("Right")
     i = vocab.symbol_id("=")
-    al = AlignedLabels(node_ids=np.array([i, i, vocab.symbol_id("1")]),
-                       edge_ids=edge_ids, order_adj=sup)
+    al = AlignedLabels(node_ids=np.array([i, i, vocab.symbol_id("1")]), pairs=pairs,
+                       edge_ids=np.array([vocab.same_symbol_id, right, right]))
     out = decode_labels(al, vocab)
     assert (0, 1, SAME_SYMBOL) in out.edges
     assert out.segment_triples() == {(frozenset({0, 1}), frozenset({2}), "Right")}
 
     # a positional class inside the segment is discarded
-    edge_ids[0, 1] = vocab.same_symbol_id
-    edge_ids2 = edge_ids.copy()
-    edge_ids2[1, 2] = vocab.same_symbol_id
-    edge_ids2[0, 2] = vocab.relation_id("Sup")
-    al2 = AlignedLabels(node_ids=np.array([i, i, i]), edge_ids=edge_ids2,
-                        order_adj=sup)
+    edge_ids2 = np.array([vocab.same_symbol_id, vocab.relation_id("Sup"), vocab.same_symbol_id])
+    al2 = AlignedLabels(node_ids=np.array([i, i, i]), pairs=pairs, edge_ids=edge_ids2)
     out2 = decode_labels(al2, vocab)
     assert out2.segments() == [[0, 1, 2]]
     assert out2.segment_triples() == set()
@@ -261,12 +268,9 @@ def test_decode_drops_positional_predictions_inside_a_segment():
 
 def test_decode_flips_backward_classes_to_forward_edges():
     vocab = Vocabulary.default()
-    edge_ids = np.full((2, 2), -1, dtype=np.int64)
-    sup = np.zeros((2, 2), dtype=np.int8)
-    sup[0, 1] = 1
-    edge_ids[0, 1] = vocab.opposite(vocab.relation_id("Above"))
     al = AlignedLabels(node_ids=np.array([vocab.symbol_id("1"), vocab.symbol_id("-")]),
-                       edge_ids=edge_ids, order_adj=sup)
+                       pairs=np.array([[0, 1]]),
+                       edge_ids=np.array([vocab.opposite(vocab.relation_id("Above"))]))
     out = decode_labels(al, vocab)
     assert out.edges == {(1, 0, "Above")}
 

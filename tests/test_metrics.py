@@ -21,22 +21,16 @@ from oracles import brute_force_expression_metrics, dense_attention
 
 def _aligned(node_ids, edges):
     """AlignedLabels from {(i, j): class} with support exactly on the keys."""
-    n = len(node_ids)
-    order = np.zeros((n, n), dtype=np.int8)
-    edge_ids = np.full((n, n), -1, dtype=np.int64)
-    for (i, j), cls in edges.items():
-        order[i, j] = 1
-        edge_ids[i, j] = cls
-    return AlignedLabels(node_ids=np.array(node_ids), edge_ids=edge_ids, order_adj=order)
+    pairs = sorted(edges)
+    return AlignedLabels(node_ids=np.array(node_ids), pairs=np.array(pairs).reshape(-1, 2),
+                         edge_ids=np.array([edges[pair] for pair in pairs]))
 
 
 def _result_for(aligned, node_classes, edge_classes):
     """The forward result of one graph whose argmax reproduces `aligned` exactly."""
     node_logits = 10.0 * np.eye(node_classes)[aligned.node_ids]
-    support = np.argwhere(aligned.order_adj)
-    edge_logits = np.zeros((len(support), edge_classes))
-    for k, (i, j) in enumerate(support):
-        edge_logits[k, aligned.edge_ids[i, j]] = 10.0
+    support = aligned.pairs
+    edge_logits = 10.0 * np.eye(edge_classes)[aligned.edge_ids]
     return BatchResult(node_logits=Tensor(node_logits), edge_logits=Tensor(edge_logits),
                        supports=[support], node_offsets=np.array([0, len(node_logits)]),
                        edge_offsets=np.array([0, len(support)]), attention=[], _aux=[])
@@ -48,7 +42,7 @@ def test_predict_aligned_argmax_and_support_check():
     pred = predict_aligned(res, gold)
     assert np.array_equal(pred.node_ids, gold.node_ids)
     assert np.array_equal(pred.edge_ids, gold.edge_ids)
-    assert np.array_equal(pred.order_adj, gold.order_adj)
+    assert np.array_equal(pred.pairs, gold.pairs)
 
     other = _aligned([2, 0, 1], {(0, 2): 3, (1, 2): 0})
     with pytest.raises(MetricsError, match="support"):
@@ -63,11 +57,8 @@ def test_predict_aligned_argmax_and_support_check():
 
 
 def _counts(res, gold, node_mask=None, edge_mask=None):
-    """primitive_counts of a one-graph forward result against AlignedLabels
-    and (n, n) edge masks, read at the result's support."""
-    rows, cols = res.supports[0].T
-    return primitive_counts(res, gold.node_ids, gold.edge_ids[rows, cols], node_mask,
-                            None if edge_mask is None else edge_mask[rows, cols])
+    """primitive_counts of a one-graph forward result against AlignedLabels."""
+    return primitive_counts(res, gold.node_ids, gold.edge_ids, node_mask, edge_mask)
 
 
 def test_primitive_accuracy_counts():
@@ -78,8 +69,7 @@ def test_primitive_accuracy_counts():
     assert _counts(_result_for(gold, 10, 14), gold) == (5, 5, 3, 3)
     # masked strokes and support pairs leave both the hits and the totals
     node_mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
-    edge_mask = np.ones((5, 5))
-    edge_mask[1, 2] = 0.0
+    edge_mask = np.array([1.0, 0.0, 1.0])  # the pair (1, 2)
     assert _counts(res, gold, node_mask, edge_mask) == (4, 4, 2, 2)
     empty = _aligned([1, 2], {})
     assert _counts(_result_for(empty, 10, 14), empty) == (2, 2, 0, 0)
@@ -250,8 +240,7 @@ def test_export_attention_matrix():
     adj = adj + adj.T
     g = ModeledGraph(adjacency=adj,
                      node_features=rng.standard_normal((n, 2, 10)),
-                     edge_features=rng.standard_normal((n, n, 7)) * adj[:, :, None],
-                     node_mask=np.ones(n), edge_mask=np.ones((n, n)))
+                     edge_features=rng.standard_normal((n, n, 7)) * adj[:, :, None])
     gm = augment_global(g)
     cfg = ModelConfig(hidden=8, layers=2, node_classes=5, edge_classes=14,
                       readout_hidden=6, dropout=0.0)

@@ -44,8 +44,6 @@ def _rand_graph(rng, n, edge_dim, d_n=10, master=False, p_edge=0.6):
         adjacency=adj,
         node_features=rng.standard_normal((n, 2, d_n)),
         edge_features=ef,
-        node_mask=np.ones(n),
-        edge_mask=np.ones((n, n)),
     )
     return augment_global(g) if master else g
 
@@ -521,8 +519,6 @@ def test_forward_permutation_equivariance():
         adjacency=g.adjacency[perm][:, perm],
         node_features=g.node_features[perm],
         edge_features=g.edge_features[perm][:, perm],
-        node_mask=g.node_mask[perm],
-        edge_mask=g.edge_mask[perm][:, perm],
     )
     out = forward(g, params, cfg)
     outp = forward(gp, params, cfg)
@@ -552,8 +548,7 @@ def test_forward_ablations_and_empty_support():
     adj = np.zeros((2, 2), dtype=np.int8)
     lone = ModeledGraph(adjacency=adj,
                         node_features=rng.standard_normal((2, 2, 10)),
-                        edge_features=np.zeros((2, 2, 7)),
-                        node_mask=np.ones(2), edge_mask=np.ones((2, 2)))
+                        edge_features=np.zeros((2, 2, 7)))
     gm = augment_global(lone)
     out2 = forward(gm, params, cfg)
     assert out2.supports[0].shape == (0, 2)
@@ -624,7 +619,8 @@ def _aux_case(master, batched):
 
 
 def _readout_log(monkeypatch):
-    """The prefixes of model._readout calls from now on, in call order."""
+    """The prefixes of model._readout calls from now on, in call order. Each
+    forward's first call is "edge", the MLP that embeds the edge features."""
     calls = []
     real = model_module._readout
 
@@ -648,7 +644,7 @@ def test_forward_outside_a_tape_runs_the_aux_readouts_on_first_read(master, batc
         eager = forward(run, params, cfg)
     calls = _readout_log(monkeypatch)
     lazy = forward(run, params, cfg)
-    assert calls == ["read.final.node", "read.final.edge"]
+    assert calls == ["edge", "read.final.node", "read.final.edge"]
 
     assert _same_bytes(lazy.node_logits.data, eager.node_logits.data)
     assert _same_bytes(lazy.edge_logits.data, eager.edge_logits.data)
@@ -658,7 +654,7 @@ def test_forward_outside_a_tape_runs_the_aux_readouts_on_first_read(master, batc
         assert _same_bytes(got, want)
 
     aux = lazy.aux
-    assert calls[2:] == [f"read.aux{s}.{part}" for s in range(cfg.layers)
+    assert calls[3:] == [f"read.aux{s}.{part}" for s in range(cfg.layers)
                          for part in ("node", "edge")]
     assert len(aux) == len(eager.aux) == cfg.layers
     for (nl, el), (want_n, want_e) in zip(aux, eager.aux, strict=True):
@@ -666,7 +662,7 @@ def test_forward_outside_a_tape_runs_the_aux_readouts_on_first_read(master, batc
     # built once: a second read returns the same list and runs nothing
     again = lazy.aux
     assert again is aux and all(x is y for x, y in zip(again, aux, strict=True))
-    assert len(calls) == 2 + 2 * cfg.layers
+    assert len(calls) == 3 + 2 * cfg.layers
 
     # scoring needs no auxiliary parameter at all
     lean = {k: p for k, p in params.items() if not k.startswith("read.aux")}
@@ -695,14 +691,14 @@ def test_forward_under_a_tape_runs_the_aux_readouts_between_the_layers(master, b
     calls = _readout_log(monkeypatch)
     with Tape() as tape:
         res = forward(run, params, cfg)
-        assert len(calls) == 2 + 2 * cfg.layers  # every readout ran inside forward
+        assert len(calls) == 3 + 2 * cfg.layers  # every readout ran inside forward
         stages = [(res.node_logits, res.edge_logits)] + res.aux
         weights = {logits.shape: rng.standard_normal(logits.shape).astype(np.float32)
                    for pair in stages for logits in pair}
         loss = loss_of(stages)
         length = len(tape)
         grads = backward(tape, loss, params)
-    assert len(calls) == 2 + 2 * cfg.layers
+    assert len(calls) == 3 + 2 * cfg.layers
 
     with Tape() as tape:
         node_logits, edge_logits, aux = interleaved_forward(graphs, params, cfg)
@@ -753,11 +749,9 @@ def test_chunks_forward_exactly_like_standalone_graphs():
     chunks = split_subexpressions(local, aligned, gcfg)
     assert [c.num_strokes for c, _ in chunks] == [8, 2]
     for (chunk, _), sl in zip(chunks, (slice(0, 8), slice(8, 10))):
-        size = chunk.num_strokes
         alone = ModeledGraph(adjacency=local.adjacency[sl, sl].copy(),
                              node_features=local.node_features[sl].copy(),
-                             edge_features=local.edge_features[sl, sl].copy(),
-                             node_mask=np.ones(size), edge_mask=np.ones((size, size)))
+                             edge_features=local.edge_features[sl, sl].copy())
         assert same(logits(chunk), logits(augment_global(alone))), sl
 
 
@@ -770,8 +764,7 @@ def _mixed_batch(rng, edge_dim):
     def lone(n):  # n strokes and no edge at all
         return ModeledGraph(adjacency=np.zeros((n, n), dtype=np.int8),
                             node_features=rng.standard_normal((n, 2, 10)),
-                            edge_features=np.zeros((n, n, edge_dim)),
-                            node_mask=np.ones(n), edge_mask=np.ones((n, n)))
+                            edge_features=np.zeros((n, n, edge_dim)))
 
     isolated = _rand_graph(rng, 6, edge_dim)
     isolated.adjacency[3, :] = isolated.adjacency[:, 3] = 0
@@ -839,7 +832,7 @@ def test_batch_forward_equals_standalone_forwards():
 
 def test_support_is_the_aligned_writing_order_support():
     # forward puts edge logits on exactly the pairs align_labels puts targets
-    # on, in the same row-major order, with or without a master node
+    # on: the same int64 array byte for byte, with or without a master node
     vocab = Vocabulary.default()
     cfg = _small_config()
     local_cfg = GraphConfig(d_n=16, d_e=3)
@@ -849,15 +842,15 @@ def test_support_is_the_aligned_writing_order_support():
     for text, gcfg in (("1+x-2", local_cfg), ("1+x-2", fc_cfg), ("1", local_cfg)):
         expr, lg = compose([("sym", c) for c in text])
         local = build_local_graph(expr, gcfg)
-        want = np.argwhere(align_labels(lg, local.adjacency, vocab).order_adj)
+        want = align_labels(lg, local.adjacency, vocab).pairs
         cases += [(local, want), (augment_global(local), want)]
     n = cases[2][0].num_strokes
     assert len(cases[2][1]) == n * (n - 1) // 2  # FC: every pair of strokes
     assert not cases[4][0].adjacency.any() and cases[4][1].shape == (0, 2)
     for graph, want in cases:
         (support,) = forward(graph, params, cfg).supports
-        assert support.dtype == np.int64 and support.shape == want.shape
-        assert np.array_equal(support, want)
+        assert support.dtype == want.dtype == np.int64 and support.shape == want.shape
+        assert support.tobytes() == want.tobytes()
     batch = forward([graph for graph, _ in cases], params, cfg)
     for support, (_, want) in zip(batch.supports, cases, strict=True):
         assert support.dtype == np.int64 and np.array_equal(support, want)

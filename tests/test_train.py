@@ -11,7 +11,7 @@ from inkgraph import train as train_module
 from inkgraph.engine import Tape, Tensor, backward
 from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
                              build_local_graph, split_subexpressions)
-from inkgraph.labels import Vocabulary, align_labels
+from inkgraph.labels import AlignedLabels, Vocabulary, align_labels
 from inkgraph.model import ModelConfig, forward, init_parameters
 from inkgraph.synth import compose, generate_synthetic
 from inkgraph.train import (FitResult, TrainConfig, TrainError, _weighted_loss, fit,
@@ -187,13 +187,11 @@ def _random_item(rng, n, gcfg_edge_dim, vocab, master=True):
     adj = adj + adj.T
     ef = rng.standard_normal((n, n, gcfg_edge_dim)) * adj[:, :, None]
     g = ModeledGraph(adjacency=adj, node_features=rng.standard_normal((n, 2, 10)),
-                     edge_features=ef, node_mask=np.ones(n), edge_mask=np.ones((n, n)))
+                     edge_features=ef)
     node_ids = rng.integers(0, len(vocab.symbols), size=n)
-    support = np.triu(adj, 1)
-    edge_ids = np.where(support == 1,
-                        rng.integers(0, vocab.num_edge_classes, size=(n, n)), -1)
-    from inkgraph.labels import AlignedLabels
-    aligned = AlignedLabels(node_ids=node_ids, edge_ids=edge_ids, order_adj=support)
+    pairs = np.argwhere(np.triu(adj, 1))
+    edge_ids = rng.integers(0, vocab.num_edge_classes, size=(n, n))[tuple(pairs.T)]
+    aligned = AlignedLabels(node_ids=node_ids, pairs=pairs, edge_ids=edge_ids)
     return (augment_global(g) if master else g), aligned
 
 
@@ -205,22 +203,20 @@ def test_masked_primitives_cannot_move_loss_or_grads():
     params = init_parameters(mcfg, edge_dim=7, seed=0)
     tcfg = TrainConfig(dropout=0.0)
     graph, aligned = _random_item(rng, 5, 7, vocab)
-    graph.node_mask[1 + 2] = 0.0  # local node 2; index 0 is the master
-    i, j = map(int, np.argwhere(np.triu(graph.adjacency[1:, 1:], 1))[0])
-    graph.edge_mask[1 + i, 1 + j] = 0.0
+    aligned.node_mask[2] = 0.0  # stroke 2; the master has no label
+    aligned.edge_mask[0] = 0.0  # the first support pair
 
     def run(al):
         with Tape() as tape:
             res = forward([graph], params, mcfg)
-            nmask, emask = graph.node_mask[1:], graph.edge_mask[1:, 1:]
-            loss = graph_losses(res, [(al, nmask, emask)], tcfg)
+            loss = graph_losses(res, [al], tcfg)
             grads = backward(tape, loss, params)
         return float(loss.data), grads
 
     base_loss, base_grads = run(aligned)
     mutated = aligned
     mutated.node_ids[2] = (mutated.node_ids[2] + 7) % vocab.num_symbols
-    mutated.edge_ids[i, j] = (mutated.edge_ids[i, j] + 3) % vocab.num_edge_classes
+    mutated.edge_ids[0] = (mutated.edge_ids[0] + 3) % vocab.num_edge_classes
     new_loss, new_grads = run(mutated)
 
     assert base_loss == new_loss
@@ -243,20 +239,19 @@ def test_split_masks_cannot_move_loss_or_grads():
     def run():
         with Tape() as tape:
             res = forward([g for g, _ in chunks], params, mcfg)
-            loss = graph_losses(res, [(al, g.node_mask[1:], g.edge_mask[1:, 1:])
-                                      for g, al in chunks], tcfg)
+            loss = graph_losses(res, [al for _, al in chunks], tcfg)
             grads = backward(tape, loss, params)
         return float(loss.data), grads
 
     base_loss, base_grads = run()
     cuts = []
-    for (g, al), cut in zip(chunks, (7, 0)):
-        assert g.node_mask[1 + cut] == 0.0
+    for (_, al), cut in zip(chunks, (7, 0)):
+        assert al.node_mask[cut] == 0.0
         al.node_ids[cut] = (al.node_ids[cut] + 5) % vocab.num_symbols
-        for i, j in al.support_pairs():
+        for k, (i, j) in enumerate(al.pairs.tolist()):
             if cut in (i, j):
-                assert g.edge_mask[1 + i, 1 + j] == 0.0
-                al.edge_ids[i, j] = (al.edge_ids[i, j] + 3) % vocab.num_edge_classes
+                assert al.edge_mask[k] == 0.0
+                al.edge_ids[k] = (al.edge_ids[k] + 3) % vocab.num_edge_classes
                 cuts.append((i, j))
     assert cuts == [(6, 7), (0, 1)]
     new_loss, new_grads = run()
@@ -281,12 +276,11 @@ def test_graph_losses_match_manual_concatenation():
     tcfg = TrainConfig(node_weight=0.4, aux_weight=0.25, focal_gamma=1.5)
 
     items = [_random_item(rng, n, 7, vocab) for n in (4, 6)]
-    items[0][0].node_mask[1 + 2] = 0.0
-    i, j = map(int, np.argwhere(np.triu(items[1][0].adjacency[1:, 1:], 1))[0])
-    items[1][0].edge_mask[1 + i, 1 + j] = 0.0
-    targets = [(aligned, g.node_mask[1:], g.edge_mask[1:, 1:]) for g, aligned in items]
+    items[0][1].node_mask[2] = 0.0
+    items[1][1].edge_mask[0] = 0.0
+    labels = [aligned for _, aligned in items]
     batch = forward([g for g, _ in items], params, mcfg)
-    got = float(graph_losses(batch, targets, tcfg).data)
+    got = float(graph_losses(batch, labels, tcfg).data)
 
     results = [forward(g, params, mcfg) for g, _ in items]
     stages = len(results[0].aux) + 1
@@ -295,13 +289,14 @@ def test_graph_losses_match_manual_concatenation():
     for s in range(stages):
         n_logits, e_logits = [], []
         nl, nm, el, em = [], [], [], []
-        for res, (aligned, nmask, emask) in zip(results, targets):
+        for res, aligned in zip(results, labels):
+            assert np.array_equal(res.supports[0], aligned.pairs)
             n_logits.append((res.node_logits if s == 0 else res.aux[s - 1][0]).data)
             e_logits.append((res.edge_logits if s == 0 else res.aux[s - 1][1]).data)
             nl.append(aligned.node_ids)
-            nm.append(nmask)
-            el.append([aligned.edge_ids[i, j] for i, j in res.supports[0]])
-            em.append([emask[i, j] for i, j in res.supports[0]])
+            nm.append(aligned.node_mask)
+            el.append(aligned.edge_ids)
+            em.append(aligned.edge_mask)
         ln = _np_node_loss(np.concatenate(n_logits), np.concatenate(nl), np.concatenate(nm))
         le = _np_edge_loss(np.concatenate(e_logits),
                            np.concatenate(el).astype(int), np.concatenate(em), 1.5)
@@ -317,26 +312,21 @@ def test_batched_validation_is_the_mean_of_per_graph_losses():
                        edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
     params = init_parameters(mcfg, edge_dim=7, seed=2, dtype=np.float64)
     items = [_random_item(rng, n, 7, vocab) for n in (3, 6, 4, 5)]
-    items[1][0].edge_mask[:] = 0.0  # every edge of this graph is masked
+    items[1][1].edge_mask[:] = 0.0  # every edge of this graph is masked
     # two strokes without a local edge: the master links them, no support
     lone = ModeledGraph(adjacency=np.zeros((2, 2), dtype=np.int8),
                         node_features=rng.standard_normal((2, 2, 10)),
-                        edge_features=np.zeros((2, 2, 7)),
-                        node_mask=np.ones(2), edge_mask=np.ones((2, 2)))
-    from inkgraph.labels import AlignedLabels
+                        edge_features=np.zeros((2, 2, 7)))
     items.insert(2, (augment_global(lone), AlignedLabels(
-        node_ids=np.array([3, 5]), edge_ids=np.full((2, 2), -1),
-        order_adj=np.zeros((2, 2), dtype=np.int8))))
+        node_ids=np.array([3, 5]), pairs=np.zeros((0, 2)), edge_ids=np.zeros(0))))
 
     tcfg = TrainConfig(node_weight=0.4, aux_weight=0.25, batch_size=2)
     losses, want_counts = [], np.zeros(4, dtype=np.int64)
     for g, al in items:
         res = forward([g], params, mcfg)
-        nmask, emask = g.node_mask[1:], g.edge_mask[1:, 1:]
-        losses.append(float(graph_losses(res, [(al, nmask, emask)], tcfg).data))
-        rows, cols = res.supports[0].T
-        want_counts += primitive_counts(res, al.node_ids, al.edge_ids[rows, cols],
-                                        nmask, emask[rows, cols])
+        losses.append(float(graph_losses(res, [al], tcfg).data))
+        want_counts += primitive_counts(res, al.node_ids, al.edge_ids, al.node_mask,
+                                        al.edge_mask)
     assert forward(items[2][0], params, mcfg).supports[0].shape == (0, 2)
     assert losses[1] > 0.0  # the node loss remains
 
@@ -348,6 +338,39 @@ def test_batched_validation_is_the_mean_of_per_graph_losses():
         assert np.array_equal(counts, want_counts)
 
 
+def test_labels_off_the_support_raise():
+    # labels whose pairs are a subset or a superset of the graph's support,
+    # or whose strokes are not the graph's, are refused, not trained on
+    rng = np.random.default_rng(8)
+    vocab = Vocabulary.default()
+    mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
+                       edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
+    params = init_parameters(mcfg, edge_dim=7, seed=0)
+    tcfg = TrainConfig(max_epochs=1, dropout=0.0)
+    graph, aligned = _random_item(rng, 6, 7, vocab)
+    res = forward(graph, params, mcfg)
+    graph_losses(res, [aligned], tcfg)
+    every_pair = np.argwhere(np.triu(np.ones((6, 6)), 1))
+    assert 0 < len(aligned.pairs) < len(every_pair)
+    misaligned = {
+        "no pairs": AlignedLabels(node_ids=aligned.node_ids, pairs=np.zeros((0, 2)),
+                                  edge_ids=np.zeros(0)),
+        "subset": AlignedLabels(node_ids=aligned.node_ids, pairs=aligned.pairs[1:],
+                                edge_ids=aligned.edge_ids[1:]),
+        "superset": AlignedLabels(node_ids=aligned.node_ids, pairs=every_pair,
+                                  edge_ids=np.zeros(len(every_pair))),
+        "one more stroke": AlignedLabels(node_ids=np.append(aligned.node_ids, 0),
+                                         pairs=aligned.pairs, edge_ids=aligned.edge_ids),
+    }
+    for labels in misaligned.values():
+        with pytest.raises(TrainError, match="graph 0 of the batch: .* not aligned"):
+            graph_losses(res, [labels], tcfg)
+        with pytest.raises(TrainError, match="not aligned"):
+            fit([(graph, labels)], [(graph, aligned)], mcfg, tcfg, 7)
+        with pytest.raises(TrainError, match="not aligned"):
+            fit([(graph, aligned)], [(graph, labels)], mcfg, tcfg, 7)
+
+
 def test_primitive_counts_respect_masks():
     rng = np.random.default_rng(6)
     vocab = Vocabulary.default()
@@ -356,24 +379,20 @@ def test_primitive_counts_respect_masks():
     params = init_parameters(mcfg, edge_dim=7, seed=0)
     graph, aligned = _random_item(rng, 5, 7, vocab)
     res = forward(graph, params, mcfg)
-    nmask, emask = graph.node_mask[1:].copy(), graph.edge_mask[1:, 1:].copy()
+    nmask, emask = aligned.node_mask, aligned.edge_mask
 
     # force perfect labels, then knock out one node and one edge via the masks
     aligned.node_ids[:] = res.node_logits.data.argmax(axis=1)
     (support,) = res.supports
-    rows, cols = support.T
-    aligned.edge_ids[rows, cols] = res.edge_logits.data.argmax(axis=1)
-    nc, nt, ec, et = primitive_counts(res, aligned.node_ids, aligned.edge_ids[rows, cols],
-                                      nmask, emask[rows, cols])
+    aligned.edge_ids[:] = res.edge_logits.data.argmax(axis=1)
+    nc, nt, ec, et = primitive_counts(res, aligned.node_ids, aligned.edge_ids, nmask, emask)
     assert (nc, nt) == (5, 5)
     assert (ec, et) == (len(support), len(support))
 
     nmask[0] = 0.0
-    i0, j0 = support[0]
-    emask[i0, j0] = 0.0
+    emask[0] = 0.0
     aligned.node_ids[0] += 1  # wrong now, but masked
-    nc, nt, ec, et = primitive_counts(res, aligned.node_ids, aligned.edge_ids[rows, cols],
-                                      nmask, emask[rows, cols])
+    nc, nt, ec, et = primitive_counts(res, aligned.node_ids, aligned.edge_ids, nmask, emask)
     assert (nc, nt) == (4, 4)
     assert (ec, et) == (len(support) - 1, len(support) - 1)
 
