@@ -23,7 +23,7 @@ from .labels import LabelError, Vocabulary, align_labels, decode_labels, seriali
 from .metrics import (MetricsError, attention_to_csv, build_report,
                       confusion_histograms, evaluate_expression, predict_aligned,
                       report_to_csv)
-from .model import ModelConfig, ModelError, edge_index, forward, parameter_layout
+from .model import ModelConfig, ModelError, forward, parameter_layout
 from .train import (TrainConfig, TrainError, fit, history_to_csv, parse_config_text)
 
 DATASET_NAME = "dataset.bin"
@@ -366,7 +366,7 @@ def _cmd_attention(args):
         # the final layer's per-edge weights, placed in a (nodes, nodes) matrix
         alpha = res.attention[-1]
         matrix = np.zeros((full.num_nodes, full.num_nodes), dtype=alpha.dtype)
-        matrix[edge_index(full.adjacency)] = alpha
+        matrix[full.edges] = alpha
         (out / "attention" / f"{expr_id}.csv").write_text(attention_to_csv(matrix),
                                                           encoding="utf-8")
     print(f"wrote {count} attention matrices -> {out / 'attention'}")

@@ -9,6 +9,7 @@ and round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -38,12 +39,20 @@ def _ink_from_json(text):
     return InkExpression(id=d["id"], strokes=strokes, annotation=d["annotation"])
 
 
+def _check_id(path, expr_id):
+    # the id names files under --out and a row of metrics.csv
+    if expr_id in ("", ".", "..") or re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", expr_id):
+        raise DatasetError(f"{path}: expression id {expr_id!r} is not a plain file name "
+                           "(empty, '.', '..', or with '/', '\\', ',' or a control character)")
+
+
 def write_dataset(path, pairs, vocab):
-    """Write (InkExpression, LabelGraph) pairs; record ids must be unique."""
+    """Write (InkExpression, LabelGraph) pairs; ids must be unique plain file names."""
     records = []
     chunks = []
     seen = set()
     for expr, lg in pairs:
+        _check_id(path, expr.id)
         if expr.id in seen:
             raise DatasetError(f"duplicate expression id {expr.id!r}")
         seen.add(expr.id)
@@ -58,7 +67,7 @@ def write_dataset(path, pairs, vocab):
 def read_dataset(path):
     """Load a packed file -> (list of (InkExpression, LabelGraph), Vocabulary).
 
-    A truncated, corrupt or version-1 file raises DatasetError naming the file.
+    A truncated, corrupt or version-1 file, or a bad id, raises DatasetError naming it.
     """
     header, payload = container.read(path, DATASET_MAGIC, DatasetError, "dataset")
     missing = sorted({"vocabulary", "records"} - header.keys())
@@ -77,6 +86,7 @@ def read_dataset(path):
             if not start <= ink_end <= lg_end <= len(payload):
                 raise DatasetError(f"{path}: record {rec['id']!r} runs past the payload")
             expr = _ink_from_json(payload[start:ink_end].decode("utf-8"))
+            _check_id(path, expr.id)
             lg = parse_lg(payload[ink_end:lg_end].decode("utf-8"))
             pairs.append((expr, lg))
             start = lg_end

@@ -104,17 +104,12 @@ def _record(op, out_data, inputs, backfn, check=True):
     # it raises
     if check:
         _check_finite(op, out_data)
-    out = Tensor(out_data)
-    tape = _ACTIVE_TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape._nodes.append((out, inputs, backfn))
-    return out
+    return _record_outputs((out_data,), inputs, backfn)[0]
 
 
-def _record_pair(op, outs_data, inputs, backfn):
-    # one tape node with two outputs; backfn gets both output gradients,
-    # None for an output that received none
+def _record_outputs(outs_data, inputs, backfn):
+    # one tape node with a tuple of outputs; backfn gets one gradient per
+    # output, None for an output that received none
     outs = tuple(Tensor(d) for d in outs_data)
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -951,7 +946,7 @@ def edge_attention(h, b, wh, wb, att, edges, leaky_slope=None, message_concat=Tr
             if wh.requires_grad:
                 _accum(wh, h.data.T @ g_hw)
 
-    h_next, b_next = _record_pair(op, (h_out, b_out), (h, b, wh, wb, att), back)
+    h_next, b_next = _record_outputs((h_out, b_out), (h, b, wh, wb, att), back)
     return h_next, b_next, alpha[:, 0].copy()
 
 
@@ -962,8 +957,8 @@ def edge_attention(h, b, wh, wb, att, edges, leaky_slope=None, message_concat=Tr
 def backward(tape, loss, params=None):
     """Accumulate gradients for one recorded forward pass.
 
-    Visits ops in reverse execution order exactly once (a node with two
-    outputs runs once, with both gradients), and consumes the tape:
+    Visits ops in reverse execution order exactly once (a node runs once,
+    with one gradient per output), and consumes the tape:
     each op's record, and the gradient of its output, is dropped as soon as
     the op has passed that gradient on, so intermediate arrays are freed
     during the pass. Returns a dict of gradient arrays when `params`
@@ -980,22 +975,18 @@ def backward(tape, loss, params=None):
     if params is not None:
         for p in params.values():
             p.grad = None
-    for out, inputs, _ in tape._nodes:
-        for t in (*out, *inputs) if isinstance(out, tuple) else (out, *inputs):
+    for outs, inputs, _ in tape._nodes:
+        for t in (*outs, *inputs):
             t.grad = None
     loss.grad = np.ones_like(loss.data)
     nodes = tape._nodes
     while nodes:
-        out, _, backfn = nodes.pop()
-        if isinstance(out, tuple):  # a node with several outputs runs once
-            grads = [t.grad for t in out]
-            if any(g is not None for g in grads):
-                backfn(*grads)
-            for t in out:
-                t.grad = None
-        elif out.grad is not None:
-            backfn(out.grad)
-            out.grad = None
+        outs, _, backfn = nodes.pop()
+        grads = [t.grad for t in outs]
+        if any(g is not None for g in grads):
+            backfn(*grads)
+        for t in outs:
+            t.grad = None
     if params is not None:
         return {
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))

@@ -56,8 +56,8 @@ class GraphConfig:
 
 @dataclass
 class ModeledGraph:
-    """Attributed stroke graph: what the model reads. The training targets
-    and their loss masks live on AlignedLabels."""
+    """Attributed stroke graph: what the model reads, with one edge_features row
+    per directed edge in `edges` order. Targets and masks live on AlignedLabels."""
 
     adjacency: np.ndarray
     node_features: np.ndarray
@@ -80,11 +80,14 @@ class ModeledGraph:
             off[0] = 1
             if not np.all(off == 1):
                 raise GraphError("master row must link to every node")
-        if self.node_features.shape[0] != n or self.edge_features.shape[:2] != (n, n):
+        if (self.node_features.shape[0] != n or self.edge_features.ndim != 2
+                or self.edge_features.shape[0] != np.count_nonzero(self.adjacency)):
             raise GraphError("feature shapes disagree with adjacency")
-        nonedges = self.adjacency == 0
-        if np.any(self.edge_features[nonedges] != 0):
-            raise GraphError("edge features must be zero off the adjacency support")
+
+    @property
+    def edges(self):
+        """(src, dst) of the directed edges, row-major: the row order of edge_features."""
+        return np.nonzero(self.adjacency)
 
     @property
     def num_nodes(self):
@@ -404,15 +407,12 @@ def build_local_graph(expression, config):
     else:
         adj = add_temporal_edges(line_of_sight(strokes))
     node_features = np.stack([s.coords for s in strokes]).astype(np.float32)
-    edge_features = np.zeros((n, n, config.edge_dim), dtype=np.float32)
-    src, dst = np.nonzero(adj)
     origins = np.array([s.centroid() for s in strokes])
     samples = np.stack([_target_samples(s, config.d_e) for s in strokes])
-    edge_features[src, dst] = _edge_features(origins, samples, src, dst)
     return ModeledGraph(
         adjacency=adj,
         node_features=node_features,
-        edge_features=edge_features,
+        edge_features=_edge_features(origins, samples, *np.nonzero(adj)),
         has_master=False,
     )
 
@@ -429,8 +429,9 @@ def augment_global(graph):
     adj[1:, 0] = 1
     node_features = np.concatenate(
         [graph.node_features.sum(axis=0, keepdims=True), graph.node_features], axis=0)
-    edge_features = np.zeros((n + 1, n + 1) + graph.edge_features.shape[2:], dtype=np.float32)
-    edge_features[1:, 1:] = graph.edge_features
+    rows, cols = np.nonzero(adj)
+    edge_features = np.zeros((rows.size, graph.edge_features.shape[1]), dtype=np.float32)
+    edge_features[(rows > 0) & (cols > 0)] = graph.edge_features
     return ModeledGraph(adjacency=adj, node_features=node_features,
                         edge_features=edge_features, has_master=True)
 
@@ -438,9 +439,9 @@ def augment_global(graph):
 def split_subexpressions(graph, aligned, config):
     """Cut a local graph into consecutive chunks of at most n_max strokes.
 
-    A chunk is strokes [lo, hi), not padded: its graph arrays are views of
-    the graph's, and its labels are those of its strokes and of the pairs
-    inside it, which align_labels gives on the chunk's own adjacency. A
+    A chunk is strokes [lo, hi), not padded: the rows of its strokes and of
+    the edges and pairs inside it, whose labels align_labels gives on the
+    chunk's own adjacency. A
     stroke whose same-symbol partner falls outside its chunk keeps its
     features but is dropped from the loss: the chunk's masks zero it and
     every pair that touches it. With a global config each chunk gets a master
@@ -452,6 +453,7 @@ def split_subexpressions(graph, aligned, config):
 
     n, k = graph.num_nodes, config.n_max
     chunk_i, chunk_j = aligned.pairs.T // k
+    edge_i, edge_j = np.array(graph.edges) // k
     # a '*' pair across a cut breaks both of its strokes
     broken = np.zeros(n, dtype=bool)
     broken[aligned.pairs[(chunk_i != chunk_j) & (aligned.edge_ids == SAME_SYMBOL_ID)]] = True
@@ -461,9 +463,10 @@ def split_subexpressions(graph, aligned, config):
     for lo in range(0, n, k):
         sl = slice(lo, min(lo + k, n))
         inside = (chunk_i == lo // k) & (chunk_j == lo // k)
+        chunk_edges = (edge_i == lo // k) & (edge_j == lo // k)
         chunk_graph = ModeledGraph(adjacency=graph.adjacency[sl, sl],
                                    node_features=graph.node_features[sl],
-                                   edge_features=graph.edge_features[sl, sl])
+                                   edge_features=graph.edge_features[chunk_edges])
         if config.global_graph:
             chunk_graph = augment_global(chunk_graph)
         chunk_labels = AlignedLabels(node_ids=aligned.node_ids[sl],

@@ -2,9 +2,10 @@
 
 Nodes are embedded by a separable-convolution encoder over resampled
 coordinates, edges by a shared two-layer MLP. State lives on the nodes (V,
-hidden) and on the directed edges (E, hidden) of the graph. Each attention
-layer scores (source, edge, target) concatenations per edge, normalizes over
-each source's out-edges, then scatter-adds messages; the
+hidden) and on the directed edges (E, hidden) of the graph, in the order of
+its edge feature rows (graphs.ModeledGraph.edges). Each attention layer
+scores (source, edge, target) concatenations per edge, normalizes over each
+source's out-edges, then scatter-adds messages; the
 message-concatenation variant re-widens features with the aggregated edge
 context and restores width by averaging adjacent features. Readouts (final
 plus one auxiliary per earlier stage) consume the stage feature concatenated
@@ -154,12 +155,6 @@ def _readout(prefix, params, x):
 # attention layer
 
 
-def edge_index(adjacency):
-    """(src, dst) index arrays of a graph's directed edges, sorted by source
-    and then by target."""
-    return np.nonzero(np.asarray(adjacency))
-
-
 def edge_attention_layer(h, b, edges, params, q, config, train=False, rng=None):
     """One message-passing step. Returns (h', b', attention ndarray).
 
@@ -192,7 +187,7 @@ class BatchResult:
     classes). supports: per graph its (P, 2) int64 writing-order pairs (i < j,
     local stroke indices), row-major; aux: per earlier stage (node_logits,
     edge_logits); attention: per layer, one weight per directed edge of the
-    union, including the master's, in edge_index order graph by graph.
+    union, including the master's, graph by graph in `edges` order.
 
     The auxiliary classifiers only shape the training loss. A forward run
     outside a Tape computes them on the first read of aux (and keeps them), so
@@ -234,10 +229,10 @@ def forward(graphs, params, config, train=False, rng=None):
     node_base = edge_base = 0
     for graph in graphs:
         off = 1 if graph.has_master else 0
-        rows, cols = edge_index(graph.adjacency)
+        rows, cols = graph.edges
         src.append(rows + node_base)
         dst.append(cols + node_base)
-        edge_rows.append(graph.edge_features[rows, cols])
+        edge_rows.append(graph.edge_features)
         strokes.append(np.arange(node_base + off, node_base + graph.num_nodes))
         # the support: stroke-to-stroke edges with i < j, in row-major order
         sup = np.flatnonzero((rows >= off) & (cols > rows))

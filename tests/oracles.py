@@ -184,6 +184,15 @@ def dense_edge_logits(result):
     return out
 
 
+def edge_rows_at(graph, src, dst):
+    """The graph's edge feature rows of the directed edges (src, dst), looked
+    up through the row-major order of its adjacency."""
+    row = np.full(graph.adjacency.shape, -1)
+    row[np.nonzero(graph.adjacency)] = np.arange(graph.edge_features.shape[0])
+    assert np.all(row[src, dst] >= 0), "not an edge of the graph"
+    return graph.edge_features[row[src, dst]]
+
+
 def dense_attention(result, graph):
     """Per layer, the (num_nodes, num_nodes) matrix of a one-graph forward
     result's attention: each directed edge's weight at (source, target) of
@@ -213,7 +222,7 @@ def interleaved_forward(graphs, params, config):
         rows, cols = np.nonzero(g.adjacency)
         src.append(rows + node_base)
         dst.append(cols + node_base)
-        edge_rows.append(g.edge_features[rows, cols])
+        edge_rows.append(g.edge_features)
         strokes.append(np.arange(node_base + off, node_base + g.num_nodes))
         sup_edges.append(np.flatnonzero((rows >= off) & (cols > rows)) + edge_base)
         node_base += g.num_nodes

@@ -16,7 +16,7 @@ from inkgraph.dataset import DATASET_MAGIC, DatasetError, read_dataset, write_da
 from inkgraph.engine import Tensor, load_checkpoint, save_checkpoint
 from inkgraph.graphs import GraphConfig, augment_global, build_local_graph
 from inkgraph.ink import parse_lg
-from inkgraph.labels import Vocabulary
+from inkgraph.labels import Vocabulary, serialize_lg
 from inkgraph.metrics import attention_to_csv
 from inkgraph.model import ModelConfig, forward
 from inkgraph.synth import compose
@@ -392,6 +392,47 @@ def test_ingest_rejects_stroke_count_mismatch(workdir, capsys):
                          str(workdir / "packed")], capsys)
     assert code == 2
     assert "2 strokes but label graph declares 3" in err
+
+
+# an expression id names the files infer, attention and build-graph write
+# under --out, and a row of metrics.csv
+UNUSABLE_IDS = {"parent-path": "../../../../outside", "slash": "a/b", "backslash": "a\\b",
+                "dot": ".", "dotdot": "..", "comma": "a,b", "tab": "a\tb"}
+
+
+@pytest.mark.parametrize("expr_id", UNUSABLE_IDS.values(), ids=UNUSABLE_IDS.keys())
+def test_ingest_refuses_an_id_unusable_as_a_file_name(workdir, capsys, expr_id):
+    raw = workdir / "raw"
+    raw.mkdir()
+    (raw / "a.inkml").write_text(INKML_A.replace("expr_a", expr_id), encoding="utf-8")
+    (raw / "a.lg").write_text(LG_A, encoding="utf-8")
+    code, _, err = _run(["ingest", "--data", str(raw), "--out", str(workdir / "packed")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and repr(expr_id) in err and "Traceback" not in err, err
+    assert not (workdir / "packed" / "dataset.bin").exists()
+
+
+@pytest.mark.parametrize("expr_id", ["", *UNUSABLE_IDS.values()],
+                         ids=["empty", *UNUSABLE_IDS.keys()])
+def test_dataset_with_an_unusable_id_is_refused(workdir, capsys, expr_id):
+    expr, lg = compose([("sym", "x"), ("sym", "+"), ("sym", "1")], expr_id)
+    vocab = Vocabulary.default()
+    with pytest.raises(DatasetError, match="expression id"):
+        write_dataset(workdir / "w.bin", [(expr, lg)], vocab)
+    assert not (workdir / "w.bin").exists()
+    # the same record framed by hand, as a file from elsewhere could hold it
+    ink = json.dumps({"id": expr_id, "annotation": expr.annotation,
+                      "strokes": [s.points.tolist() for s in expr.strokes]}).encode("utf-8")
+    lg_text = serialize_lg(lg).encode("utf-8")
+    bad = workdir / "bad.bin"
+    container.write(bad, DATASET_MAGIC, {"vocabulary": vocab.to_dict(), "records": [
+        {"id": expr_id, "ink_len": len(ink), "lg_len": len(lg_text)}]}, [ink, lg_text])
+    with pytest.raises(DatasetError, match="expression id"):
+        read_dataset(bad)
+    code, _, err = _run(["build-graph", "--data", str(bad), "--out", str(workdir / "bg"),
+                         "--config", str(workdir / "run.cfg")], capsys)
+    assert code == 2 and repr(expr_id) in err and "Traceback" not in err, err
+    assert not list(workdir.rglob("*.json"))
 
 
 @pytest.mark.parametrize("trace", ["1e308 0, -1e308 1", "1e308 0, 1.5e308 1"],

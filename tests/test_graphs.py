@@ -23,7 +23,7 @@ from inkgraph.labels import (POSITIONAL_RELATIONS, SAME_SYMBOL, AlignedLabels, L
                              Vocabulary, align_labels)
 from inkgraph.synth import compose, generate_synthetic
 
-from oracles import (brute_force_visibility, graph_from_json, loop_resample_stroke,
+from oracles import (brute_force_visibility, edge_rows_at, graph_from_json, loop_resample_stroke,
                      looped_edge_features, numpy_scalar_convex_hull, pair_directional_features,
                      per_source_line_of_sight, scalar_line_of_sight)
 
@@ -423,7 +423,8 @@ def test_build_local_graph_matches_oracle_graph_bit_for_bit(config, monkeypatch)
             adj = add_temporal_edges(line_of_sight(strokes))
         assert _same_bits(g.adjacency, adj), k
         assert _same_bits(g.node_features, np.stack([s.coords for s in strokes]).astype(np.float32)), k
-        assert _same_bits(g.edge_features, looped_edge_features(strokes, adj, cfg.d_e)), k
+        want = looped_edge_features(strokes, adj, cfg.d_e)[np.nonzero(adj)]
+        assert _same_bits(g.edge_features, want), k
 
 
 def test_add_temporal_edges_links_consecutive_strokes_idempotently():
@@ -495,10 +496,9 @@ def test_build_local_graph_shapes_and_zero_features_off_support():
     g = build_local_graph(_expr(rng, 5), cfg)
     assert not g.has_master
     assert g.node_features.shape == (5, 2, 16)
-    assert g.edge_features.shape == (5, 5, 15)
-    assert np.all(g.edge_features[g.adjacency == 0] == 0.0)
-    linked = g.adjacency == 1
-    assert np.all(g.edge_features[linked].reshape(linked.sum(), -1).any(axis=1))
+    # one row per directed edge, and no row for a pair the graph does not link
+    assert g.edge_features.shape == (np.count_nonzero(g.adjacency), 15)
+    assert np.all(g.edge_features.any(axis=1))
     idx = np.arange(4)
     assert np.all(g.adjacency[idx, idx + 1] == 1)  # temporal chain present
 
@@ -512,15 +512,22 @@ def test_build_local_graph_full_connect_ablation():
 
 def test_modeled_graph_validation():
     ok = dict(node_features=np.zeros((2, 2, 4), dtype=np.float32),
-              edge_features=np.zeros((2, 2, 5), dtype=np.float32))
+              edge_features=np.zeros((2, 5), dtype=np.float32))
     with pytest.raises(GraphError, match="diagonal"):
         ModeledGraph(adjacency=np.eye(2, dtype=np.int8), **ok)
     with pytest.raises(GraphError, match="symmetric"):
         ModeledGraph(adjacency=np.array([[0, 1], [0, 0]], dtype=np.int8), **ok)
-    bad = dict(ok)
-    bad["edge_features"] = np.ones((2, 2, 5), dtype=np.float32)
-    with pytest.raises(GraphError, match="zero off"):
-        ModeledGraph(adjacency=np.zeros((2, 2), dtype=np.int8), **bad)
+    linked = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    g = ModeledGraph(adjacency=linked, **ok)
+    assert [e.tolist() for e in g.edges] == [[0, 1], [1, 0]]
+    # edge features are rows, one per directed edge: not a dense (n, n, F)
+    # array, and not more or fewer rows than edges
+    for adjacency, edge_features in ((linked, np.zeros((2, 2, 5))),
+                                     (np.zeros((2, 2), dtype=np.int8), np.zeros((2, 5))),
+                                     (linked, np.zeros((3, 5))), (linked, np.zeros(2))):
+        with pytest.raises(GraphError, match="feature shapes"):
+            ModeledGraph(adjacency=adjacency, node_features=ok["node_features"],
+                         edge_features=edge_features)
 
 
 def test_augment_global_master_node_contract():
@@ -532,8 +539,11 @@ def test_augment_global_master_node_contract():
     assert gg.adjacency[0, 0] == 0
     assert np.allclose(gg.node_features[0], g.node_features.sum(axis=0))
     assert np.array_equal(gg.node_features[1:], g.node_features)
-    assert np.all(gg.edge_features[0] == 0.0) and np.all(gg.edge_features[:, 0] == 0.0)
-    assert np.array_equal(gg.edge_features[1:, 1:], g.edge_features)
+    # the master's edges get zero rows; the strokes' edges keep their rows in order
+    rows, cols = gg.edges
+    master = (rows == 0) | (cols == 0)
+    assert master.sum() == 8 and np.all(gg.edge_features[master] == 0.0)
+    assert np.array_equal(gg.edge_features[~master], g.edge_features)
     with pytest.raises(GraphError, match="already has a master"):
         augment_global(gg)
 
@@ -582,7 +592,7 @@ def test_split_two_chunks_preserve_node_features_of_unmasked_strokes():
     for (cg, cl), (lo, hi) in zip(chunks, [(0, 8), (8, 10)]):
         sl = slice(lo, hi)
         assert np.array_equal(cg.adjacency, g.adjacency[sl, sl])
-        assert np.array_equal(cg.edge_features, g.edge_features[sl, sl])
+        assert np.array_equal(cg.edge_features, edge_rows_at(g, *(e + lo for e in cg.edges)))
         assert np.array_equal(cl.node_ids, al.node_ids[sl])
         assert np.array_equal(cl.pairs, np.argwhere(np.triu(g.adjacency[sl, sl], 1)))
         assert np.all(cl.edge_ids == Vocabulary.default().no_edge_id)
@@ -640,8 +650,14 @@ def test_split_chunk_labels_are_the_chunks_own_alignment(full_connect):
         al = align_labels(lg, g.adjacency, vocab)
         chunks = split_subexpressions(g, al, cfg)
         assert len(chunks) == -(-n // 4)
-        for k, (_, cl) in enumerate(chunks):
+        for k, (cg, cl) in enumerate(chunks):
             lo, hi = 4 * k, min(4 * k + 4, n)
+            # the chunk's stroke edges carry the graph's rows; its master's are zero
+            rows, cols = cg.edges
+            strokes = (rows > 0) & (cols > 0)
+            assert np.array_equal(cg.edge_features[strokes],
+                                  edge_rows_at(g, rows[strokes] - 1 + lo, cols[strokes] - 1 + lo))
+            assert not cg.edge_features[~strokes].any()
             inside = {(s - lo, d - lo, r) for s, d, r in lg.edges if lo <= min(s, d) <= max(s, d) < hi}
             own = align_labels(LabelGraph(lg.node_labels[lo:hi], inside),
                                g.adjacency[lo:hi, lo:hi], vocab)
@@ -686,6 +702,7 @@ def test_graph_json_round_trip_is_exact():
     assert np.array_equal(back.node_features, g.node_features)
     assert np.array_equal(back.edge_features, g.edge_features)
     assert graph_to_json(back) == graph_to_json(g)
+    assert json.loads(graph_to_json(g))["edge_feature_shape"] == [np.count_nonzero(g.adjacency), 15]
     # the dump holds what the model reads, and no loss masks
     assert sorted(json.loads(graph_to_json(g))) == [
         "adjacency", "edge_feature_shape", "edge_features", "has_master", "n",

@@ -240,7 +240,7 @@ def test_export_attention_matrix():
     adj = adj + adj.T
     g = ModeledGraph(adjacency=adj,
                      node_features=rng.standard_normal((n, 2, 10)),
-                     edge_features=rng.standard_normal((n, n, 7)) * adj[:, :, None])
+                     edge_features=rng.standard_normal((n, n, 7))[np.nonzero(adj)])
     gm = augment_global(g)
     cfg = ModelConfig(hidden=8, layers=2, node_classes=5, edge_classes=14,
                       readout_hidden=6, dropout=0.0)

@@ -13,12 +13,12 @@ from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
                              build_local_graph, split_subexpressions)
 from inkgraph.labels import Vocabulary, align_labels
 from inkgraph.model import (ENCODER_CHANNELS, ENCODER_KERNEL, BatchResult, ModelConfig,
-                            ModelError, edge_attention_layer, edge_index, forward,
+                            ModelError, edge_attention_layer, forward,
                             init_parameters, node_embed)
 from inkgraph.synth import compose, generate_synthetic
 
 from oracles import (chained_attention_layer, dense_attention, dense_edge_logits,
-                     finite_diff_grad, interleaved_forward, naive_conv1d, rel_err)
+                     edge_rows_at, finite_diff_grad, interleaved_forward, naive_conv1d, rel_err)
 
 
 def _small_config(**kw):
@@ -39,11 +39,11 @@ def _rand_graph(rng, n, edge_dim, d_n=10, master=False, p_edge=0.6):
     adj = np.triu(adj, 1)
     adj[0, 1] = 1
     adj = adj + adj.T
-    ef = rng.standard_normal((n, n, edge_dim)) * adj[:, :, None]
+    ef = rng.standard_normal((n, n, edge_dim))
     g = ModeledGraph(
         adjacency=adj,
         node_features=rng.standard_normal((n, 2, d_n)),
-        edge_features=ef,
+        edge_features=ef[np.nonzero(adj)],
     )
     return augment_global(g) if master else g
 
@@ -158,7 +158,7 @@ def test_edge_mlp_feeds_the_stage0_edge_readout():
 
     # one shared MLP embeds every support slot; the stage-0 edge readout sees
     # that embedding as both the stage state and the initial state
-    rows = np.array([g.edge_features[i + 1, j + 1] for i, j in out.supports[0]])
+    rows = edge_rows_at(g, *(out.supports[0].T + 1))
     b0 = mlp(rows, "edge")
     ref = mlp(np.concatenate([b0, b0], axis=1), "read.aux0.edge")
     assert rel_err(out.aux[0][1].data, ref) < 1e-12
@@ -183,7 +183,7 @@ def _layer_inputs(rng, n, hidden, isolated=None):
 
 def _edge_list(b, adj):
     """(edges, (E, hidden) state) of a dense (n, n, hidden) edge state."""
-    edges = edge_index(adj)
+    edges = np.nonzero(adj)
     return edges, Tensor(b.data[edges])
 
 
@@ -362,7 +362,7 @@ def test_attention_op_matches_the_chained_ops_byte_for_byte(dtype):
     np.fill_diagonal(adj, 0)
     adj[3] = 0  # node 3 has in-edges but sends no message
     adj[0, 3] = adj[5, 3] = 1
-    edges = edge_index(adj)
+    edges = np.nonzero(adj)
     h = rng.standard_normal((n, hidden)).astype(dtype)
     b = rng.standard_normal((len(edges[0]), hidden)).astype(dtype)
     no_edges = (np.zeros(0, np.int64), np.zeros(0, np.int64))
@@ -515,10 +515,11 @@ def test_forward_permutation_equivariance():
     n = 6
     g = _rand_graph(rng, n, edge_dim=7)
     perm = rng.permutation(n)
+    adjp = g.adjacency[perm][:, perm]
     gp = ModeledGraph(
-        adjacency=g.adjacency[perm][:, perm],
+        adjacency=adjp,
         node_features=g.node_features[perm],
-        edge_features=g.edge_features[perm][:, perm],
+        edge_features=edge_rows_at(g, *(perm[e] for e in np.nonzero(adjp))),
     )
     out = forward(g, params, cfg)
     outp = forward(gp, params, cfg)
@@ -548,7 +549,7 @@ def test_forward_ablations_and_empty_support():
     adj = np.zeros((2, 2), dtype=np.int8)
     lone = ModeledGraph(adjacency=adj,
                         node_features=rng.standard_normal((2, 2, 10)),
-                        edge_features=np.zeros((2, 2, 7)))
+                        edge_features=np.zeros((0, 7)))
     gm = augment_global(lone)
     out2 = forward(gm, params, cfg)
     assert out2.supports[0].shape == (0, 2)
@@ -749,9 +750,10 @@ def test_chunks_forward_exactly_like_standalone_graphs():
     chunks = split_subexpressions(local, aligned, gcfg)
     assert [c.num_strokes for c, _ in chunks] == [8, 2]
     for (chunk, _), sl in zip(chunks, (slice(0, 8), slice(8, 10))):
-        alone = ModeledGraph(adjacency=local.adjacency[sl, sl].copy(),
-                             node_features=local.node_features[sl].copy(),
-                             edge_features=local.edge_features[sl, sl].copy())
+        adj = local.adjacency[sl, sl].copy()
+        rows = edge_rows_at(local, *(e + sl.start for e in np.nonzero(adj)))
+        alone = ModeledGraph(adjacency=adj, node_features=local.node_features[sl].copy(),
+                             edge_features=rows)
         assert same(logits(chunk), logits(augment_global(alone))), sl
 
 
@@ -764,11 +766,14 @@ def _mixed_batch(rng, edge_dim):
     def lone(n):  # n strokes and no edge at all
         return ModeledGraph(adjacency=np.zeros((n, n), dtype=np.int8),
                             node_features=rng.standard_normal((n, 2, 10)),
-                            edge_features=np.zeros((n, n, edge_dim)))
+                            edge_features=np.zeros((0, edge_dim)))
 
-    isolated = _rand_graph(rng, 6, edge_dim)
-    isolated.adjacency[3, :] = isolated.adjacency[:, 3] = 0
-    isolated.edge_features[3, :] = isolated.edge_features[:, 3] = 0.0
+    linked = _rand_graph(rng, 6, edge_dim)
+    adj = linked.adjacency.copy()
+    adj[3, :] = adj[:, 3] = 0
+    rows, cols = linked.edges
+    isolated = ModeledGraph(adjacency=adj, node_features=linked.node_features,
+                            edge_features=linked.edge_features[(rows != 3) & (cols != 3)])
     graphs = [_rand_graph(rng, 5, edge_dim, master=True),
               _rand_graph(rng, 4, edge_dim),
               lone(1),                     # one stroke, no master: E = 0

@@ -185,9 +185,9 @@ def _random_item(rng, n, gcfg_edge_dim, vocab, master=True):
     adj = np.triu((rng.random((n, n)) < 0.7).astype(np.int8), 1)
     adj[0, 1] = 1
     adj = adj + adj.T
-    ef = rng.standard_normal((n, n, gcfg_edge_dim)) * adj[:, :, None]
+    ef = rng.standard_normal((n, n, gcfg_edge_dim))
     g = ModeledGraph(adjacency=adj, node_features=rng.standard_normal((n, 2, 10)),
-                     edge_features=ef)
+                     edge_features=ef[np.nonzero(adj)])
     node_ids = rng.integers(0, len(vocab.symbols), size=n)
     pairs = np.argwhere(np.triu(adj, 1))
     edge_ids = rng.integers(0, vocab.num_edge_classes, size=(n, n))[tuple(pairs.T)]
@@ -316,7 +316,7 @@ def test_batched_validation_is_the_mean_of_per_graph_losses():
     # two strokes without a local edge: the master links them, no support
     lone = ModeledGraph(adjacency=np.zeros((2, 2), dtype=np.int8),
                         node_features=rng.standard_normal((2, 2, 10)),
-                        edge_features=np.zeros((2, 2, 7)))
+                        edge_features=np.zeros((0, 7)))
     items.insert(2, (augment_global(lone), AlignedLabels(
         node_ids=np.array([3, 5]), pairs=np.zeros((0, 2)), edge_ids=np.zeros(0))))
 
