@@ -19,7 +19,7 @@ from .labels import (AlignedLabels, LabelGraph, Vocabulary, align_labels,
 from .metrics import build_report, confusion_histograms, expression_metrics
 from .model import ModelConfig, forward, init_parameters
 from .synth import compose, generate_synthetic
-from .train import TrainConfig, fit, total_loss
+from .train import TrainConfig, fit
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,5 @@ __all__ = [
     "forward", "generate_synthetic", "init_parameters", "line_of_sight",
     "load_checkpoint", "normalize_expression", "parse_inkml", "parse_lg",
     "resample_stroke", "save_checkpoint", "serialize_lg",
-    "split_subexpressions", "total_loss",
+    "split_subexpressions",
 ]

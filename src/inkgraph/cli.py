@@ -24,7 +24,7 @@ from .metrics import (MetricsError, attention_to_csv, build_report,
                       confusion_histograms, evaluate_expression, predict_aligned,
                       report_to_csv)
 from .model import ModelConfig, ModelError, forward, parameter_layout
-from .train import (TrainConfig, TrainError, fit, history_to_csv, parse_config_text)
+from .train import TrainConfig, TrainError, _key_types, fit, history_to_csv, parse_config_text
 
 DATASET_NAME = "dataset.bin"
 CHECKPOINT_NAME = "checkpoint.bin"
@@ -176,6 +176,16 @@ def _params_from_checkpoint(path):
     for key in ("vocabulary", "model_config", "graph_config"):
         if header.get(key) is None:
             raise EngineError(f"{path}: checkpoint missing {key}")
+    # a value must have its field's type: a bool field takes only a bool, an
+    # int field an int, a float field an int or a float
+    for key, cls in (("model_config", ModelConfig), ("graph_config", GraphConfig)):
+        types = _key_types(cls)
+        for name, value in (header[key].items() if isinstance(header[key], dict) else ()):
+            want = types.get(name)
+            if want and (isinstance(value, bool) != (want is bool) or not isinstance(
+                    value, (int, float) if want is float else want)):
+                raise EngineError(f"{path}: bad checkpoint config: {key}.{name} is "
+                                  f"{value!r}, not {want.__name__}")
     try:
         vocab = Vocabulary.from_dict(header["vocabulary"])
         model_cfg = ModelConfig.from_dict(header["model_config"])

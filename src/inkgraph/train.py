@@ -27,6 +27,14 @@ class TrainError(Exception):
 
 @dataclass
 class TrainConfig:
+    """Training settings: optimizer, schedule, loss weights, validation split
+    and seed.
+
+    fit never reads dropout or n_max. They carry the [train] ini fallbacks for
+    [model] dropout and [data] n_max and are recorded in the checkpoint;
+    training uses ModelConfig.dropout and GraphConfig.n_max, so
+    TrainConfig(dropout=0.3) alone changes nothing."""
+
     lr: float = 0.00027
     batch_size: int = 32
     max_epochs: int = 200
@@ -66,10 +74,6 @@ class TrainConfig:
 # losses
 
 
-def _zero_scalar(dtype=np.float64):
-    return Tensor(np.zeros((), dtype=dtype))
-
-
 def _onehot(labels, num_classes):
     n = labels.shape[0]
     out = np.zeros((n, num_classes))
@@ -77,30 +81,25 @@ def _onehot(labels, num_classes):
     return out
 
 
-def _weighted_loss(logits, labels, weight, denom, gamma=None):
-    """-sum_k weight_k * log p_k / denom over rows, with the focal factor
-    (1 - p_k)^gamma when gamma is given; exactly zero without any weight."""
+def _stage_losses(logits_per_stage, labels, weight, denom, gamma=None):
+    """(S,) Tensor: for each of the S stages' (N, C) logits,
+    -sum_k weight_k * log p_k / denom over its rows, with the focal factor
+    (1 - p_k)^gamma when gamma is given; exactly zero without any weight.
+
+    The stages are scored in one pass over their stacked rows. Each row, and
+    each stage's sum over its rows, is the NumPy call a lone stage would make."""
+    stages = len(logits_per_stage)
+    logits = logits_per_stage[0]
     if logits.shape[0] == 0 or not np.any(weight):
-        return _zero_scalar(logits.dtype)
-    labels = np.asarray(labels, dtype=np.int64)
-    logp = eg.log_softmax(logits, axis=1)
+        return Tensor(np.zeros(stages, dtype=logits.dtype))
+    labels = np.tile(np.asarray(labels, dtype=np.int64), stages)
+    logp = eg.log_softmax(eg.concat(logits_per_stage, axis=0), axis=1)
     picked = eg.tsum(eg.mul(logp, Tensor(_onehot(labels, logits.shape[1]))), axis=1)
     if gamma is not None:
         focal = eg.pow_scalar(eg.add_const(eg.neg(eg.texp(picked)), 1.0), gamma)
         picked = eg.mul(focal, picked)
-    return eg.scale(eg.tsum(eg.mul(picked, Tensor(weight))), -1.0 / denom)
-
-
-def total_loss(final_node, final_edge, aux_pairs, node_weight=0.5, aux_weight=0.3):
-    """node_weight * Ln + (1 - node_weight) * Le plus aux_weight-scaled copies
-    of the same blend for every auxiliary stage."""
-    out = eg.add(eg.scale(final_node, node_weight),
-                 eg.scale(final_edge, 1.0 - node_weight))
-    for aux_node, aux_edge in aux_pairs:
-        stage = eg.add(eg.scale(aux_node, node_weight),
-                       eg.scale(aux_edge, 1.0 - node_weight))
-        out = eg.add(out, eg.scale(stage, aux_weight))
-    return out
+    weighted = eg.mul(picked, Tensor(np.tile(weight, stages)))
+    return eg.scale(eg.tsum(eg.reshape(weighted, (stages, -1)), axis=1), -1.0 / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,8 @@ def graph_losses(batch, labels, config, per_graph=False):
     graph, in batch order, whose masks weight the loss. The means run over
     every unmasked primitive of the batch at once; with per_graph, each
     graph's primitives are averaged on their own and the loss is the sum of
-    the graphs' losses.
+    the graphs' losses. Each readout stage blends its node and edge losses by
+    node_weight; the final stage weighs 1, each auxiliary stage aux_weight.
     """
     nl_cat, nw_cat, el_cat, ew_cat = _stacked_targets(batch, labels, per_graph)
     nw_cat = nw_cat.astype(np.float64)
@@ -141,14 +141,12 @@ def graph_losses(batch, labels, config, per_graph=False):
     # per graph the weights are already normalized; else the mean runs over the batch
     n_denom, e_denom = (1.0, 1.0) if per_graph else (float(nw_cat.sum()), float(ew_cat.sum()))
 
-    def stage_losses(n_logits, e_logits):
-        return (_weighted_loss(n_logits, nl_cat, nw_cat, n_denom),
-                _weighted_loss(e_logits, el_cat, ew_cat, e_denom, config.focal_gamma))
-
     stages = [(batch.node_logits, batch.edge_logits)] + batch.aux
-    (final_n, final_e), *aux = [stage_losses(nl, el) for nl, el in stages]
-    return total_loss(final_n, final_e, aux,
-                      node_weight=config.node_weight, aux_weight=config.aux_weight)
+    node = _stage_losses([n for n, _ in stages], nl_cat, nw_cat, n_denom)
+    edge = _stage_losses([e for _, e in stages], el_cat, ew_cat, e_denom, config.focal_gamma)
+    blend = eg.add(eg.scale(node, config.node_weight), eg.scale(edge, 1.0 - config.node_weight))
+    stage_weights = np.array([1.0] + [config.aux_weight] * len(batch.aux))
+    return eg.tsum(eg.mul(blend, Tensor(stage_weights)))
 
 
 def _per_graph(mask):

@@ -146,6 +146,60 @@ def chained_attention_layer(h, b, edges, params, q, config, train=False, rng=Non
     return h_next, b_next, alpha.data[:, 0].copy()
 
 
+def chained_weighted_loss(logits, labels, weight, denom, gamma=None):
+    """One stage's -sum_k weight_k * log p_k / denom over rows, with the focal
+    factor (1 - p_k)^gamma when gamma is given; exactly zero without any
+    weight: the per-stage loss that train's one-pass stage losses replaced."""
+    from inkgraph import engine as eg
+    from inkgraph.engine import Tensor
+    from inkgraph.train import _onehot
+
+    if logits.shape[0] == 0 or not np.any(weight):
+        return Tensor(np.zeros((), dtype=logits.dtype))
+    labels = np.asarray(labels, dtype=np.int64)
+    logp = eg.log_softmax(logits, axis=1)
+    picked = eg.tsum(eg.mul(logp, Tensor(_onehot(labels, logits.shape[1]))), axis=1)
+    if gamma is not None:
+        focal = eg.pow_scalar(eg.add_const(eg.neg(eg.texp(picked)), 1.0), gamma)
+        picked = eg.mul(focal, picked)
+    return eg.scale(eg.tsum(eg.mul(picked, Tensor(weight))), -1.0 / denom)
+
+
+def chained_total_loss(final_node, final_edge, aux_pairs, node_weight=0.5, aux_weight=0.3):
+    """node_weight * Ln + (1 - node_weight) * Le plus aux_weight-scaled copies
+    of the same blend for every auxiliary stage, folded left to right."""
+    from inkgraph import engine as eg
+
+    out = eg.add(eg.scale(final_node, node_weight),
+                 eg.scale(final_edge, 1.0 - node_weight))
+    for aux_node, aux_edge in aux_pairs:
+        stage = eg.add(eg.scale(aux_node, node_weight),
+                       eg.scale(aux_edge, 1.0 - node_weight))
+        out = eg.add(out, eg.scale(stage, aux_weight))
+    return out
+
+
+def chained_stage_losses(batch, labels, config, per_graph=False):
+    """train.graph_losses as one cross-entropy and one focal-loss chain per
+    readout stage, blended and folded stage by stage (chained_weighted_loss,
+    chained_total_loss): the form before the stages were scored in one pass."""
+    from inkgraph.train import _stacked_targets
+
+    nl_cat, nw_cat, el_cat, ew_cat = _stacked_targets(batch, labels, per_graph)
+    nw_cat = nw_cat.astype(np.float64)
+    ew_cat = ew_cat.astype(np.float64)
+    n_denom, e_denom = (1.0, 1.0) if per_graph else (float(nw_cat.sum()), float(ew_cat.sum()))
+
+    def stage_losses(n_logits, e_logits):
+        return (chained_weighted_loss(n_logits, nl_cat, nw_cat, n_denom),
+                chained_weighted_loss(e_logits, el_cat, ew_cat, e_denom, config.focal_gamma))
+
+    stages = [(batch.node_logits, batch.edge_logits)] + batch.aux
+    (final_n, final_e), *aux = [stage_losses(nl, el) for nl, el in stages]
+    return chained_total_loss(final_n, final_e, aux,
+                              node_weight=config.node_weight, aux_weight=config.aux_weight)
+
+
 def reduceat_segment_sum(x, ids, num_rows):
     """engine._segment_sum as one reduceat over id-sorted rows for every id
     pattern, the form before distinct ids were placed."""

@@ -219,6 +219,36 @@ def test_foreign_relation_list_exits_2(workdir, capsys):
             assert "vocabulary in header" in err and "corrupt record" not in err, err
 
 
+def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, capsys):
+    # each value has its field's type or is refused, naming the key: a string
+    # slope failed mid-run, a float d_e passed the tensor shape check and
+    # failed in np.linspace, and string booleans were read as true
+    data = _synth(workdir, capsys, count=2)
+    ckpt = _train(workdir, capsys, data) / "checkpoint.bin"
+    header = load_checkpoint(ckpt)
+
+    def resave(name, section, key, value):
+        configs = {s: dict(header[s]) for s in ("model_config", "graph_config")}
+        configs[section][key] = value
+        save_checkpoint(workdir / name, header["params"], vocabulary=header["vocabulary"],
+                        train_config=header["train_config"], **configs)
+        return _run(["eval", "--data", str(data), "--out", str(workdir / "out"),
+                     "--checkpoint", str(workdir / name)], capsys)
+
+    probes = [("model_config", "leaky_slope", "x"), ("graph_config", "d_e", 10.0),
+              ("model_config", "attn_leaky_relu", "no"),
+              ("graph_config", "global_graph", "false"),
+              ("model_config", "hidden", True), ("model_config", "dropout", False)]
+    for k, (section, key, value) in enumerate(probes):
+        code, _, err = resave(f"bad{k}.ckpt", section, key, value)
+        assert code == 2, (key, err)
+        assert err.startswith("error:") and f"bad{k}.ckpt" in err, err
+        assert f"{section}.{key}" in err and "Traceback" not in err, err
+    # a float field takes an int
+    code, _, err = resave("int_slope.ckpt", "model_config", "leaky_slope", 1)
+    assert code == 0, err
+
+
 def test_bad_config_value_exits_2(workdir, capsys):
     bad = workdir / "bad.cfg"
     bad.write_text("[train]\nlr = banana\n", encoding="utf-8")

@@ -14,11 +14,11 @@ from inkgraph.graphs import (GraphConfig, ModeledGraph, augment_global,
 from inkgraph.labels import AlignedLabels, Vocabulary, align_labels
 from inkgraph.model import ModelConfig, forward, init_parameters
 from inkgraph.synth import compose, generate_synthetic
-from inkgraph.train import (FitResult, TrainConfig, TrainError, _weighted_loss, fit,
+from inkgraph.train import (FitResult, TrainConfig, TrainError, _stage_losses, fit,
                             graph_losses, history_to_csv, parse_config_text,
-                            primitive_counts, total_loss, validate)
+                            primitive_counts, validate)
 
-from oracles import rel_err
+from oracles import chained_stage_losses, rel_err
 
 
 def _np_log_softmax(x):
@@ -78,20 +78,27 @@ def test_train_config_validation():
 # losses
 
 
+def _one_stage_loss(logits, labels, weight, denom, gamma=None):
+    """_stage_losses over the one stage of `logits`: its (1,) loss Tensor."""
+    loss = _stage_losses([logits], labels, weight, denom, gamma)
+    assert loss.shape == (1,)
+    return loss
+
+
 def test_node_loss_perfect_prediction_near_zero():
     labels = np.array([2, 0, 1])
     logits = Tensor(50.0 * np.eye(4)[labels][:, :4])
     mask = np.ones(3)
-    loss = _weighted_loss(logits, labels, mask, mask.sum())
-    assert 0.0 <= float(loss.data) <= 1e-6
+    loss = _one_stage_loss(logits, labels, mask, mask.sum())
+    assert 0.0 <= loss.data[0] <= 1e-6
 
 
 def test_node_loss_two_class_closed_form():
     a, b = 0.7, -0.4
     logits = Tensor(np.array([[a, b]]))
-    loss = _weighted_loss(logits, np.array([0]), np.ones(1), 1.0)
+    loss = _one_stage_loss(logits, np.array([0]), np.ones(1), 1.0)
     want = np.log(1.0 + np.exp(b - a))
-    assert rel_err(float(loss.data), want) < 1e-12
+    assert rel_err(loss.data[0], want) < 1e-12
 
 
 def test_node_loss_mean_runs_over_unmasked_only():
@@ -99,13 +106,13 @@ def test_node_loss_mean_runs_over_unmasked_only():
     logits = rng.standard_normal((3, 5))
     labels = np.array([0, 3, 4])
     mask = np.array([1.0, 1.0, 0.0])
-    loss = _weighted_loss(Tensor(logits), labels, mask, mask.sum())
-    assert rel_err(float(loss.data), _np_node_loss(logits, labels, mask)) < 1e-12
+    loss = _one_stage_loss(Tensor(logits), labels, mask, mask.sum())
+    assert rel_err(loss.data[0], _np_node_loss(logits, labels, mask)) < 1e-12
     # the masked row's logits are irrelevant
     logits2 = logits.copy()
     logits2[2] = 99.0
-    loss2 = _weighted_loss(Tensor(logits2), labels, mask, mask.sum())
-    assert float(loss.data) == float(loss2.data)
+    loss2 = _one_stage_loss(Tensor(logits2), labels, mask, mask.sum())
+    assert loss.data[0] == loss2.data[0]
 
 
 def test_all_masked_loss_is_exact_zero_with_zero_grads():
@@ -116,9 +123,9 @@ def test_all_masked_loss_is_exact_zero_with_zero_grads():
     mask = np.zeros(3)
     for gamma in (None, 1.5):  # cross-entropy and focal
         with Tape() as tape:
-            loss = _weighted_loss(eg.matmul(x, w), labels, mask, mask.sum(), gamma)
+            loss = _one_stage_loss(eg.matmul(x, w), labels, mask, mask.sum(), gamma)
             grads = backward(tape, loss, {"w": w})
-        assert float(loss.data) == 0.0
+        assert loss.data[0] == 0.0
         assert np.all(grads["w"] == 0.0)
 
 
@@ -126,7 +133,7 @@ def test_empty_logits_give_zero_loss():
     logits = Tensor(np.zeros((0, 14)))
     labels, mask = np.zeros(0, dtype=int), np.zeros(0)
     for gamma in (None, 1.5):
-        assert float(_weighted_loss(logits, labels, mask, mask.sum(), gamma).data) == 0.0
+        assert _one_stage_loss(logits, labels, mask, mask.sum(), gamma).data[0] == 0.0
 
 
 def test_edge_loss_gamma_zero_is_cross_entropy():
@@ -134,19 +141,19 @@ def test_edge_loss_gamma_zero_is_cross_entropy():
     logits = rng.standard_normal((6, 14))
     labels = rng.integers(0, 14, size=6)
     mask = np.array([1, 1, 0, 1, 1, 1], dtype=np.float64)
-    ce = _weighted_loss(Tensor(logits), labels, mask, mask.sum())
-    fl = _weighted_loss(Tensor(logits), labels, mask, mask.sum(), 0.0)
-    assert rel_err(float(fl.data), float(ce.data)) < 1e-12
+    ce = _one_stage_loss(Tensor(logits), labels, mask, mask.sum())
+    fl = _one_stage_loss(Tensor(logits), labels, mask, mask.sum(), 0.0)
+    assert rel_err(fl.data[0], ce.data[0]) < 1e-12
 
 
 def test_edge_loss_focal_fixture():
     # p_t = 0.9, gamma = 2 -> loss = (1 - 0.9)^2 * (-log 0.9)
     logits = np.array([[np.log(9.0), 0.0]])
-    loss = _weighted_loss(Tensor(logits), np.array([0]), np.ones(1), 1.0, 2.0)
+    loss = _one_stage_loss(Tensor(logits), np.array([0]), np.ones(1), 1.0, 2.0)
     p = np.exp(logits[0, 0]) / (np.exp(logits[0, 0]) + 1.0)
     want = -((1.0 - p) ** 2) * np.log(p)
-    assert rel_err(float(loss.data), want) < 1e-12
-    assert abs(float(loss.data) - 0.01 * -np.log(0.9)) < 1e-9
+    assert rel_err(loss.data[0], want) < 1e-12
+    assert abs(loss.data[0] - 0.01 * -np.log(0.9)) < 1e-9
 
 
 def test_edge_loss_random_matches_numpy():
@@ -156,25 +163,38 @@ def test_edge_loss_random_matches_numpy():
     mask = (rng.random(8) < 0.7).astype(np.float64)
     mask[0] = 1.0
     for gamma in (0.5, 1.5, 2.0):
-        got = float(_weighted_loss(Tensor(logits), labels, mask, mask.sum(), gamma).data)
+        got = _one_stage_loss(Tensor(logits), labels, mask, mask.sum(), gamma).data[0]
         assert rel_err(got, _np_edge_loss(logits, labels, mask, gamma)) < 1e-12
 
 
-def test_total_loss_blend():
-    ln = Tensor(np.array(1.0))
-    le = Tensor(np.array(3.0))
-    assert float(total_loss(ln, le, [], node_weight=0.5).data) == 2.0
-    assert float(total_loss(ln, le, [], node_weight=1.0).data) == 1.0
-    assert float(total_loss(ln, le, [], node_weight=0.0).data) == 3.0
+def test_stage_weighting(monkeypatch):
+    # fixed stage losses isolate graph_losses' weighting: node_weight blends
+    # each stage's node and edge losses, [1, aux_weight, ...] weighs the stages
+    rng = np.random.default_rng(9)
+    vocab = Vocabulary.default()
+    graph, aligned = _random_item(rng, 4, 7, vocab)
 
-    one = Tensor(np.array(1.0))
-    aux = [(one, one)] * 5
-    got = total_loss(one, one, aux, node_weight=0.5, aux_weight=0.3)
-    assert rel_err(float(got.data), 1.0 + 5 * 0.3) < 1e-12
+    def total(layers, aux_readouts, node, edge, aux=(), **weights):
+        # node and edge are the final stage's losses, aux the auxiliary
+        # stages' node and edge loss
+        def fixed(logits_per_stage, labels, weight, denom, gamma=None):
+            assert len(logits_per_stage) == 1 + len(aux)
+            return Tensor(np.array([node if gamma is None else edge, *aux]))
+
+        monkeypatch.setattr(train_module, "_stage_losses", fixed)
+        mcfg = ModelConfig(hidden=8, layers=layers, node_classes=vocab.num_symbols,
+                           edge_classes=vocab.num_edge_classes, readout_hidden=6,
+                           aux_readouts=aux_readouts)
+        res = forward([graph], init_parameters(mcfg, edge_dim=7, seed=0), mcfg)
+        return float(graph_losses(res, [aligned], TrainConfig(**weights)).data)
+
+    assert total(1, False, 1.0, 3.0, node_weight=0.5) == 2.0
+    assert total(1, False, 1.0, 3.0, node_weight=1.0) == 1.0
+    assert total(1, False, 1.0, 3.0, node_weight=0.0) == 3.0
+    got = total(5, True, 1.0, 1.0, aux=[1.0] * 5, node_weight=0.5, aux_weight=0.3)
+    assert rel_err(got, 1.0 + 5 * 0.3) < 1e-12
     # aux_weight = 0 silences the auxiliary stages entirely
-    got0 = total_loss(ln, le, [(Tensor(np.array(9.0)), Tensor(np.array(9.0)))],
-                      node_weight=0.5, aux_weight=0.0)
-    assert float(got0.data) == 2.0
+    assert total(1, True, 1.0, 3.0, aux=[9.0], node_weight=0.5, aux_weight=0.0) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +323,51 @@ def test_graph_losses_match_manual_concatenation():
         blend = tcfg.node_weight * ln + (1 - tcfg.node_weight) * le
         want += blend if s == 0 else tcfg.aux_weight * blend
     assert rel_err(got, want) < 1e-10
+
+
+def test_one_pass_stage_losses_are_the_per_stage_chain_bit_for_bit():
+    # graph_losses scores all stages in one pass; the oracle builds one loss
+    # chain per stage and folds the stages left to right. Each side runs its
+    # own forward from the same dropout rng state.
+    rng = np.random.default_rng(10)
+    vocab = Vocabulary.default()
+    items = [_random_item(rng, n, 7, vocab) for n in (4, 6, 5)]
+    items[0][1].node_mask[2] = 0.0
+    items[1][1].edge_mask[:2] = 0.0
+    no_edges = [(g, AlignedLabels(node_ids=al.node_ids, pairs=al.pairs, edge_ids=al.edge_ids,
+                                  node_mask=al.node_mask, edge_mask=np.zeros_like(al.edge_mask)))
+                for g, al in items]
+    tcfg = TrainConfig(node_weight=0.4, aux_weight=0.25)
+
+    def run(loss_fn, mcfg, params, items, per_graph):
+        with Tape() as tape:
+            res = forward([g for g, _ in items], params, mcfg, train=True,
+                          rng=np.random.default_rng(3))
+            loss = loss_fn(res, [al for _, al in items], tcfg, per_graph=per_graph)
+            grads = backward(tape, loss, params)
+        return loss.data, grads
+
+    cases = [(layers, aux, per_graph, dropout, items)
+             for layers in (1, 2, 5, 7, 9) for aux in (True, False)
+             for per_graph in (False, True) for dropout in (0.0, 0.1)]
+    cases += [(2, True, per_graph, 0.1, no_edges) for per_graph in (False, True)]
+    for layers, aux, per_graph, dropout, batch in cases:
+        case = (layers, aux, per_graph, dropout, batch is no_edges)
+        mcfg = ModelConfig(hidden=8, layers=layers, node_classes=vocab.num_symbols,
+                           edge_classes=vocab.num_edge_classes, readout_hidden=6,
+                           dropout=dropout, aux_readouts=aux)
+        params = init_parameters(mcfg, edge_dim=7, seed=layers)
+        got_loss, got = run(graph_losses, mcfg, params, batch, per_graph)
+        want_loss, want = run(chained_stage_losses, mcfg, params, batch, per_graph)
+        assert got_loss.shape == want_loss.shape == (), case
+        if aux and layers + 1 >= 8:
+            # NumPy sums 8 or more stage losses pairwise, not left to right
+            assert rel_err(got_loss, want_loss) < 1e-14, case
+        else:
+            assert got_loss.tobytes() == want_loss.tobytes(), case
+        for k in want:
+            assert got[k].dtype == want[k].dtype, (case, k)
+            assert got[k].tobytes() == want[k].tobytes(), (case, k)
 
 
 def test_batched_validation_is_the_mean_of_per_graph_losses():
