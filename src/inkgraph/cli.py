@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -177,7 +178,7 @@ def _params_from_checkpoint(path):
         if header.get(key) is None:
             raise EngineError(f"{path}: checkpoint missing {key}")
     # a value must have its field's type: a bool field takes only a bool, an
-    # int field an int, a float field an int or a float
+    # int field an int, a float field an int or a finite float
     for key, cls in (("model_config", ModelConfig), ("graph_config", GraphConfig)):
         types = _key_types(cls)
         for name, value in (header[key].items() if isinstance(header[key], dict) else ()):
@@ -186,6 +187,9 @@ def _params_from_checkpoint(path):
                     value, (int, float) if want is float else want)):
                 raise EngineError(f"{path}: bad checkpoint config: {key}.{name} is "
                                   f"{value!r}, not {want.__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise EngineError(f"{path}: bad checkpoint config: {key}.{name} is "
+                                  f"{value!r}, not finite")
     try:
         vocab = Vocabulary.from_dict(header["vocabulary"])
         model_cfg = ModelConfig.from_dict(header["model_config"])

@@ -247,6 +247,13 @@ def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, capsys):
     # a float field takes an int
     code, _, err = resave("int_slope.ckpt", "model_config", "leaky_slope", 1)
     assert code == 0, err
+    # but not a non-finite float, which failed mid-run in the attention layer
+    for k, value in enumerate((float("nan"), float("inf"), float("-inf"))):
+        code, _, err = resave(f"nonfinite{k}.ckpt", "model_config", "leaky_slope", value)
+        assert code == 2, (value, err)
+        assert err.startswith("error:") and f"nonfinite{k}.ckpt" in err, err
+        assert "model_config.leaky_slope" in err and "not finite" in err, err
+        assert "NonFiniteError" not in err and "Traceback" not in err, err
 
 
 def test_bad_config_value_exits_2(workdir, capsys):

@@ -1,6 +1,9 @@
 """Training tests: loss fixtures against closed forms, exact masking, batch
 concatenation semantics, the fit loop, and config-file parsing."""
 
+import ctypes
+import platform
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -572,6 +575,67 @@ def test_fit_rejects_empty_splits():
         fit([], items, mcfg, tcfg, edge_dim=gcfg.edge_dim)
     with pytest.raises(TrainError, match="validation"):
         fit(items, [], mcfg, tcfg, edge_dim=gcfg.edge_dim)
+
+
+def _has_glibc_mallopt():
+    if sys.platform != "linux" or platform.libc_ver()[0] != "glibc":
+        return False
+    return hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not _has_glibc_mallopt(), reason="needs Linux with glibc's mallopt")
+def test_fit_keeps_freed_memory_between_epochs():
+    # glibc's dynamic trim threshold handed each step's freed heap back to the
+    # kernel, and the next step faulted it in again: thousands of minor page
+    # faults an epoch at the gate config
+    import resource
+    gcfg = GraphConfig(d_n=32, d_e=10, n_max=8)
+    vocab = Vocabulary.default()
+    train_items, val_items = [], []
+    for expr, lg in generate_synthetic(seed=3, count=64, max_symbols=4):
+        local = build_local_graph(expr, gcfg)
+        aligned = align_labels(lg, local.adjacency, vocab)
+        train_items.extend(split_subexpressions(local, aligned, gcfg))
+        val_items.append((augment_global(local), aligned))
+    mcfg = ModelConfig(hidden=64, layers=2, node_classes=vocab.num_symbols,
+                       edge_classes=vocab.num_edge_classes, readout_hidden=64)
+    tcfg = TrainConfig(lr=0.003, batch_size=32, max_epochs=3, n_max=8, seed=2)
+    faults = [resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
+    fit(train_items, val_items, mcfg, tcfg, gcfg.edge_dim,
+        progress=lambda row: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+    per_epoch = np.diff(faults)
+    assert len(per_epoch) == 3
+    assert all(per_epoch[1:] < 1000), per_epoch
+
+
+def test_fit_sets_the_allocator_through_mallopt_when_there_is_one(monkeypatch):
+    items, vocab, gcfg = _fit_items()
+    mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
+                       edge_classes=vocab.num_edge_classes, readout_hidden=6)
+    tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=1, seed=1)
+    calls = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append((param, value, self.argtypes, self.restype))
+            return 1
+
+    class Libc:
+        mallopt = Mallopt()
+
+    monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: Libc())
+    validate(items, init_parameters(mcfg, gcfg.edge_dim, seed=0), mcfg, tcfg)
+    assert calls == []  # scoring does not touch the allocator
+    fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim)
+    ints = (ctypes.c_int, ctypes.c_int)
+    assert calls == [(-3, 32 << 20, ints, ctypes.c_int), (-1, 64 << 20, ints, ctypes.c_int)]
+    # without mallopt, or without a C library to look in, fit trains as before
+    def no_library(name):
+        raise OSError("no C library")
+
+    for lib in (lambda name: object(), no_library):
+        monkeypatch.setattr(train_module.ctypes, "CDLL", lib)
+        assert len(fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim).history) == 1
 
 
 def test_history_csv_is_stable_text():
