@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .metrics import (MetricsError, attention_to_csv, build_report,
                       confusion_histograms, evaluate_expression, predict_aligned,
                       report_to_csv)
 from .model import ModelConfig, ModelError, forward, parameter_layout
-from .train import TrainConfig, TrainError, _key_types, fit, history_to_csv, parse_config_text
+from .train import TrainConfig, TrainError, fit, history_to_csv, parse_config_text
 
 DATASET_NAME = "dataset.bin"
 CHECKPOINT_NAME = "checkpoint.bin"
@@ -135,41 +134,43 @@ def _resolve_dataset(path):
     return read_dataset(p)
 
 
+def _configured(cls, cfg, sections, **values):
+    """cls(**values); a refused value is named by the first of sections that sets it."""
+    try:
+        return cls(**values)
+    except (GraphError, ModelError, TrainError) as e:
+        key = str(e).split()[0]
+        section = next((s for s in sections if key in cfg[s]), sections[0])
+        raise TrainError(f"config: bad value: {section}.{e}") from None
+
+
 def _graph_config(cfg, args):
-    data = dict(cfg["data"])
-    data.pop("count", None)
-    data.pop("max_symbols", None)
+    data = {k: v for k, v in cfg["data"].items() if k not in ("count", "max_symbols")}
     if "n_max" not in data and "n_max" in cfg["train"]:
         data["n_max"] = cfg["train"]["n_max"]
-    gc = GraphConfig(**data)
-    if getattr(args, "graph_global", None) is not None:
-        gc.global_graph = args.graph_global
-    if getattr(args, "fc", None):
-        gc.full_connect = True
-    return gc
+    if args.graph_global is not None:
+        data["global_graph"] = args.graph_global
+    if args.fc:
+        data["full_connect"] = True
+    return _configured(GraphConfig, cfg, ("data", "train"), **data)
 
 
 def _model_config(cfg, args, vocab):
     model = dict(cfg["model"])
     model.setdefault("dropout", cfg["train"].get("dropout", 0.1))
-    mc = ModelConfig(node_classes=vocab.num_symbols,
-                     edge_classes=vocab.num_edge_classes, **model)
-    if getattr(args, "no_aux", False):
-        mc.aux_readouts = False
-    if getattr(args, "no_concat", False):
-        mc.message_concat = False
-    if getattr(args, "no_residual", False):
-        mc.residual = False
-    return mc
+    for flag, key in (("no_aux", "aux_readouts"), ("no_concat", "message_concat"),
+                      ("no_residual", "residual")):
+        if getattr(args, flag):
+            model[key] = False
+    return _configured(ModelConfig, cfg, ("model", "train"), node_classes=vocab.num_symbols,
+                       edge_classes=vocab.num_edge_classes, **model)
 
 
 def _train_config(cfg, args, graph_cfg):
-    train = dict(cfg["train"])
-    train["n_max"] = graph_cfg.n_max
-    tc = TrainConfig(**train)
-    if getattr(args, "seed", None) is not None:
-        tc.seed = args.seed
-    return tc
+    train = {**cfg["train"], "n_max": graph_cfg.n_max}
+    if args.seed is not None:
+        train["seed"] = args.seed
+    return _configured(TrainConfig, cfg, ("train",), **train)
 
 
 def _params_from_checkpoint(path):
@@ -177,26 +178,16 @@ def _params_from_checkpoint(path):
     for key in ("vocabulary", "model_config", "graph_config"):
         if header.get(key) is None:
             raise EngineError(f"{path}: checkpoint missing {key}")
-    # a value must have its field's type: a bool field takes only a bool, an
-    # int field an int, a float field an int or a finite float
-    for key, cls in (("model_config", ModelConfig), ("graph_config", GraphConfig)):
-        types = _key_types(cls)
-        for name, value in (header[key].items() if isinstance(header[key], dict) else ()):
-            want = types.get(name)
-            if want and (isinstance(value, bool) != (want is bool) or not isinstance(
-                    value, (int, float) if want is float else want)):
-                raise EngineError(f"{path}: bad checkpoint config: {key}.{name} is "
-                                  f"{value!r}, not {want.__name__}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise EngineError(f"{path}: bad checkpoint config: {key}.{name} is "
-                                  f"{value!r}, not finite")
     try:
         vocab = Vocabulary.from_dict(header["vocabulary"])
         model_cfg = ModelConfig.from_dict(header["model_config"])
         graph_cfg = GraphConfig.from_dict(header["graph_config"])
         layout = {name: shape for name, (shape, _fans) in
                   parameter_layout(model_cfg, graph_cfg.edge_dim).items()}
-    except (LabelError, ModelError, GraphError, KeyError, TypeError, ValueError) as e:
+    except (ModelError, GraphError) as e:
+        key = "model_config" if isinstance(e, ModelError) else "graph_config"
+        raise EngineError(f"{path}: bad checkpoint config: {key}.{e}") from None
+    except (LabelError, KeyError, TypeError, ValueError) as e:
         raise EngineError(f"{path}: bad checkpoint config: {e}") from None
     found = {name: arr.shape for name, arr in header["params"].items()}
     for name in sorted(layout.keys() | found.keys()):

@@ -1,4 +1,5 @@
-"""Dense tensors with reverse-mode autodiff, plus optimizer, scheduler and checkpoints.
+"""Dense tensors with reverse-mode autodiff, plus optimizer, scheduler, checkpoints
+and the base of the config dataclasses.
 
 Everything is numpy underneath. A Tape records ops in execution order during a
 forward pass; backward() replays the records in reverse, visiting each op once.
@@ -8,6 +9,8 @@ Ops are plain functions so the gradient-check suite can enumerate them.
 from __future__ import annotations
 
 import math
+import operator
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -1093,6 +1096,39 @@ class PlateauScheduler:
 
 # ---------------------------------------------------------------------------
 # checkpoint container
+
+
+class Config:
+    """Base of the config dataclasses. A field's type is its default's: a bool
+    field takes only a bool, an int field an int but not a bool (NumPy ints are
+    stored as int), a float field a finite int or float. A refused value raises
+    the subclass's ``error``, its message starting with the field name.
+    Subclasses run this __post_init__ before their range checks."""
+
+    @classmethod
+    def field_types(cls, exclude=()):
+        return {f.name: type(f.default) for f in fields(cls) if f.name not in exclude}
+
+    def __post_init__(self):
+        for name, want in self.field_types().items():
+            value = getattr(self, name)
+            if isinstance(value, bool) != (want is bool) or (
+                    want is float and not isinstance(value, (int, float))):
+                raise self.error(f"{name} is {value!r}, not {want.__name__}")
+            if want is int:
+                try:
+                    setattr(self, name, operator.index(value))
+                except TypeError:
+                    raise self.error(f"{name} is {value!r}, not int") from None
+            elif want is float and not math.isfinite(value):
+                raise self.error(f"{name} is {value!r}, not finite")
+
+    def to_dict(self):
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(**d)
 
 
 def save_checkpoint(path, params, vocabulary=None, model_config=None,

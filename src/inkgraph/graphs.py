@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import Config
 from .ink import ResampledStroke, normalize_expression, resample_stroke
 from .labels import SAME_SYMBOL_ID, AlignedLabels
 
@@ -25,8 +26,10 @@ class GraphError(Exception):
 
 
 @dataclass
-class GraphConfig:
+class GraphConfig(Config):
     """Graph-construction knobs: sample counts, chunk size, master node, FC ablation."""
+
+    error = GraphError
 
     d_n: int = 150
     d_e: int = 10
@@ -35,23 +38,14 @@ class GraphConfig:
     full_connect: bool = False
 
     def __post_init__(self):
-        if self.d_n < 2:
-            raise GraphError(f"d_n must be >= 2, got {self.d_n}")
-        if self.d_e < 1:
-            raise GraphError(f"d_e must be >= 1, got {self.d_e}")
-        if self.n_max < 2:
-            raise GraphError(f"n_max must be >= 2, got {self.n_max}")
+        super().__post_init__()
+        for name, low in (("d_n", 2), ("d_e", 1), ("n_max", 2)):
+            if getattr(self, name) < low:
+                raise GraphError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def edge_dim(self):
         return 5 * self.d_e
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass

@@ -15,12 +15,12 @@ the node indices of each graph offset by the nodes before it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine as eg
-from .engine import Tensor
+from .engine import Config, Tensor
 
 ENCODER_CHANNELS = (2, 64, 128, 256)
 ENCODER_KERNEL = 9
@@ -31,7 +31,9 @@ class ModelError(Exception):
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
+    error = ModelError
+
     hidden: int = 512
     layers: int = 5
     node_classes: int = 101
@@ -45,21 +47,14 @@ class ModelConfig:
     aux_readouts: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.hidden <= 0 or self.hidden % 2:
             raise ModelError(f"hidden must be positive and even, got {self.hidden}")
-        if self.layers < 1:
-            raise ModelError(f"need at least one layer, got {self.layers}")
-        if min(self.node_classes, self.edge_classes, self.readout_hidden) < 1:
-            raise ModelError("class and readout widths must be positive")
+        for name in ("layers", "node_classes", "edge_classes", "readout_hidden"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):

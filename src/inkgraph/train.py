@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import configparser
 import ctypes
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine as eg
-from .engine import Adam, PlateauScheduler, Tape, Tensor, backward
+from .engine import Adam, Config, PlateauScheduler, Tape, Tensor, backward
 from .graphs import GraphConfig
 from .metrics import primitive_counts
 from .model import ModelConfig, forward, init_parameters
@@ -27,7 +26,7 @@ class TrainError(Exception):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     """Training settings: optimizer, schedule, loss weights, validation split
     and seed.
 
@@ -35,6 +34,8 @@ class TrainConfig:
     [model] dropout and [data] n_max and are recorded in the checkpoint;
     training uses ModelConfig.dropout and GraphConfig.n_max, so
     TrainConfig(dropout=0.3) alone changes nothing."""
+
+    error = TrainError
 
     lr: float = 0.00027
     batch_size: int = 32
@@ -50,25 +51,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise TrainError("lr, batch_size and max_epochs must be positive")
+        super().__post_init__()
+        for name in ("lr", "batch_size", "max_epochs", "patience"):
+            if getattr(self, name) <= 0:
+                raise TrainError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.node_weight <= 1.0:
             raise TrainError(f"node_weight must be in [0, 1], got {self.node_weight}")
-        if self.aux_weight < 0 or self.focal_gamma < 0:
-            raise TrainError("aux_weight and focal_gamma must be >= 0")
+        for name in ("aux_weight", "focal_gamma", "seed"):
+            if getattr(self, name) < 0:
+                raise TrainError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise TrainError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise TrainError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
-        if self.patience < 1:
-            raise TrainError(f"patience must be >= 1, got {self.patience}")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -287,51 +282,37 @@ def history_to_csv(history):
 # config file
 
 
-def _key_types(config_cls, exclude=()):
-    """{field name: type of its default} for a config dataclass."""
-    return {f.name: type(f.default) for f in fields(config_cls) if f.name not in exclude}
-
-
 # class counts come from the vocabulary; count and max_symbols size synth's corpus
-_MODEL_KEYS = _key_types(ModelConfig, exclude=("node_classes", "edge_classes"))
-_TRAIN_KEYS = _key_types(TrainConfig)
-_DATA_KEYS = {**_key_types(GraphConfig), "count": int, "max_symbols": int}
+_TABLES = {"model": ModelConfig.field_types(exclude=("node_classes", "edge_classes")),
+           "train": TrainConfig.field_types(),
+           "data": {**GraphConfig.field_types(), "count": int, "max_symbols": int}}
 
-# integer keys whose values below these minimums fail only deep inside a run
-_MINIMUMS = {("data", "count"): 1, ("data", "max_symbols"): 1, ("train", "seed"): 0}
-
-_BOOL_VALUES = {"true": True, "1": True, "yes": True, "on": True,
-                "false": False, "0": False, "no": False, "off": False}
+# synth's keys belong to no config, so their minimums are checked here
+_MINIMUMS = {("data", "count"): 1, ("data", "max_symbols"): 1}
 
 
 def parse_config_text(text):
     """Parse the [model]/[train]/[data] key=value format. Unknown sections or
-    keys are errors; values are coerced per key, floats must be finite."""
+    keys are errors; each value is turned into its key's type. The configs
+    built from the result check the values themselves."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise TrainError(f"config: {exc}") from None
-    tables = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "data": _DATA_KEYS}
     out = {"model": {}, "train": {}, "data": {}}
     for section in cp.sections():
-        if section not in tables:
+        if section not in _TABLES:
             raise TrainError(f"config: unknown section [{section}]")
+        table = _TABLES[section]
         for key, raw in cp.items(section):
-            table = tables[section]
             if key not in table:
                 raise TrainError(f"config: unknown key {key!r} in [{section}]")
             caster = table[key]
             try:
-                if caster is bool:
-                    value = _BOOL_VALUES[raw.strip().lower()]
-                else:
-                    value = caster(raw)
+                value = cp.BOOLEAN_STATES[raw.strip().lower()] if caster is bool else caster(raw)
             except (ValueError, KeyError):
                 raise TrainError(f"config: bad value {raw!r} for {section}.{key}") from None
-            if caster is float and not math.isfinite(value):
-                raise TrainError(f"config: bad value {raw!r} for {section}.{key} "
-                                 "(must be finite)")
             low = _MINIMUMS.get((section, key))
             if low is not None and value < low:
                 raise TrainError(f"config: bad value {raw!r} for {section}.{key} "

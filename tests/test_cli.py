@@ -168,19 +168,28 @@ def test_data_errors_exit_2(workdir, capsys):
         assert err.startswith("error:") and name in err, err
 
     # values that would otherwise fail mid-run (a traceback, or a non-finite
-    # conv1d output in training) are rejected when the config is parsed
+    # loss or attention score in training) are refused before the run starts
     configs = [("synth", "[data]\ncount = 0\n", "data.count"),
                ("synth", "[data]\nmax_symbols = 0\n", "data.max_symbols"),
                ("train", "[train]\nseed = -4\n", "train.seed"),
                ("train", "[train]\nlr = inf\n", "train.lr"),
                ("train", "[train]\nfocal_gamma = nan\n", "train.focal_gamma"),
                ("train", "[train]\naux_weight = nan\n", "train.aux_weight"),
-               ("train", "[train]\ndecay_factor = nan\n", "train.decay_factor")]
+               ("train", "[train]\ndecay_factor = nan\n", "train.decay_factor"),
+               ("train", "[train]\nlr = nan\n", "train.lr"),
+               ("train", "[model]\nleaky_slope = nan\n", "model.leaky_slope"),
+               ("train", "[model]\nleaky_slope = inf\n", "model.leaky_slope"),
+               ("train", "[model]\nhidden = 64.0\n", "model.hidden"),
+               ("train", "[train]\nbatch_size = 2.5\n", "train.batch_size"),
+               ("build-graph", "[data]\nd_n = 32.5\n", "data.d_n"),
+               # a value that falls back to another section is named where it was set
+               ("train", "[train]\ndropout = nan\n", "train.dropout"),
+               ("build-graph", "[train]\nn_max = 1\n", "train.n_max")]
     for command, text, key in configs:
         cfg = workdir / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")
         argv = [command, "--out", outd, "--config", str(cfg)]
-        if command == "train":
+        if command != "synth":
             argv += ["--data", str(data)]
         code, _, err = _run(argv, capsys)
         assert code == 2, text
@@ -195,7 +204,8 @@ def test_data_errors_exit_2(workdir, capsys):
         code, _, err = _run(["train", "--data", str(data), "--out", outd,
                              "--config", str(cfg)], capsys)
         assert code == 2, text
-        assert err.startswith(f"error: {key} must be") and "Traceback" not in err, err
+        assert err.startswith(f"error: config: bad value: train.{key} must be") \
+            and "Traceback" not in err, err
 
 
 def test_foreign_relation_list_exits_2(workdir, capsys):
@@ -238,7 +248,11 @@ def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, capsys):
     probes = [("model_config", "leaky_slope", "x"), ("graph_config", "d_e", 10.0),
               ("model_config", "attn_leaky_relu", "no"),
               ("graph_config", "global_graph", "false"),
-              ("model_config", "hidden", True), ("model_config", "dropout", False)]
+              ("model_config", "hidden", True), ("model_config", "dropout", False),
+              ("model_config", "residual", "no"), ("model_config", "hidden", 64.0),
+              ("graph_config", "d_n", 32.5),
+              # a range failure is named the same way
+              ("graph_config", "d_n", 1), ("model_config", "layers", 0)]
     for k, (section, key, value) in enumerate(probes):
         code, _, err = resave(f"bad{k}.ckpt", section, key, value)
         assert code == 2, (key, err)

@@ -4,12 +4,14 @@ features, master-node augmentation, chunking, and JSON serialization."""
 import functools
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from inkgraph import graphs as graphs_module
+from inkgraph.engine import load_checkpoint, save_checkpoint
 from inkgraph.graphs import (GraphConfig, GraphError, ModeledGraph,
                              _edge_features, _target_samples,
                              add_temporal_edges, augment_global,
@@ -61,6 +63,31 @@ def test_graph_config_defaults_and_validation():
         GraphConfig(d_e=0)
     with pytest.raises(GraphError, match="n_max"):
         GraphConfig(n_max=1)
+
+
+@pytest.mark.parametrize("field, value, refusal", [
+    ("d_n", 32.5, "is 32.5, not int"),
+    ("global_graph", "false", "is 'false', not bool"),
+    ("full_connect", 0, "is 0, not bool"),
+    ("n_max", True, "is True, not int"),
+    ("d_n", np.int64(32), None),   # a NumPy int, stored as int
+])
+def test_graph_config_fields_take_only_their_type(field, value, refusal):
+    if refusal:
+        with pytest.raises(GraphError, match=f"^{re.escape(f'{field} {refusal}')}$"):
+            GraphConfig(**{field: value})
+    else:
+        stored = getattr(GraphConfig(**{field: value}), field)
+        assert stored == value and type(stored) is int
+
+
+def test_numpy_int_graph_config_saves_and_reloads(tmp_path):
+    # a NumPy int64 field once made the checkpoint's JSON header unwritable
+    cfg = GraphConfig(d_n=np.int64(32), n_max=np.int32(8))
+    save_checkpoint(tmp_path / "c.ckpt", {}, graph_config=cfg.to_dict())
+    header = load_checkpoint(tmp_path / "c.ckpt")
+    assert header["graph_config"] == {**GraphConfig().to_dict(), "d_n": 32, "n_max": 8}
+    assert GraphConfig.from_dict(header["graph_config"]) == cfg
 
 
 def _cross(o, a, b):

@@ -1,6 +1,7 @@
 """Model tests: parameter inventory, embedder oracles, attention-layer
 semantics, permutation equivariance, stage wiring, and end-to-end gradients."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,26 @@ def test_config_defaults_and_round_trip():
     assert (cfg.readout_hidden, cfg.dropout, cfg.leaky_slope) == (384, 0.1, 0.2)
     assert cfg.attn_leaky_relu and cfg.message_concat and cfg.residual and cfg.aux_readouts
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("field, value, refusal", [
+    ("leaky_slope", float("nan"), "is nan, not finite"),
+    ("leaky_slope", float("inf"), "is inf, not finite"),
+    ("residual", "no", "is 'no', not bool"),
+    ("hidden", 64.0, "is 64.0, not int"),
+    ("dropout", True, "is True, not float"),
+    ("leaky_slope", "0.2", "is '0.2', not float"),
+    ("leaky_slope", 1, None),         # an int in a float field
+    ("hidden", np.int64(64), None),   # a NumPy int, stored as int
+    ("layers", np.int32(2), None),
+])
+def test_config_fields_take_only_their_type(field, value, refusal):
+    if refusal:
+        with pytest.raises(ModelError, match=f"^{re.escape(f'{field} {refusal}')}$"):
+            ModelConfig(**{field: value})
+    else:
+        stored = getattr(ModelConfig(**{field: value}), field)
+        assert stored == value and type(stored) is int
 
 
 def test_config_validation():

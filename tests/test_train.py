@@ -3,6 +3,7 @@ concatenation semantics, the fit loop, and config-file parsing."""
 
 import ctypes
 import platform
+import re
 import sys
 from dataclasses import fields
 
@@ -53,6 +54,44 @@ def test_train_config_defaults_and_round_trip():
     assert (cfg.node_weight, cfg.aux_weight, cfg.focal_gamma) == (0.5, 0.3, 1.5)
     assert (cfg.dropout, cfg.n_max, cfg.val_fraction, cfg.seed) == (0.1, 16, 0.0, 0)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("field, value, refusal", [
+    ("lr", float("nan"), "is nan, not finite"),
+    ("lr", float("inf"), "is inf, not finite"),
+    ("aux_weight", float("nan"), "is nan, not finite"),
+    ("focal_gamma", float("inf"), "is inf, not finite"),
+    ("seed", -1, "must be >= 0, got -1"),
+    ("batch_size", 2.5, "is 2.5, not int"),
+    ("val_fraction", False, "is False, not float"),
+    ("max_epochs", True, "is True, not int"),
+    ("lr", 1, None),                    # an int in a float field
+    ("batch_size", np.int64(2), None),  # a NumPy int, stored as int
+])
+def test_train_config_fields_take_only_their_type(field, value, refusal):
+    if refusal:
+        with pytest.raises(TrainError, match=f"^{re.escape(f'{field} {refusal}')}$"):
+            TrainConfig(**{field: value})
+    else:
+        stored = getattr(TrainConfig(**{field: value}), field)
+        assert stored == value and type(stored) is int
+
+
+def test_config_file_values_meet_the_config_rule():
+    # an ini file's value goes through its config's own check: every float
+    # of [model] and [train] must be finite, and the seed must be >= 0
+    floats = [(section, cls, f.name) for section, cls in (("model", ModelConfig),
+                                                          ("train", TrainConfig))
+              for f in fields(cls) if isinstance(f.default, float)]
+    assert len(floats) >= 8
+    cases = [(section, cls, key, raw, "not finite") for section, cls, key in floats
+             for raw in ("nan", "inf", "-inf")]
+    cases.append(("train", TrainConfig, "seed", "-4", "must be >= 0"))
+    for section, cls, key, raw, refusal in cases:
+        values = parse_config_text(f"[{section}]\n{key} = {raw}\n")[section]
+        with pytest.raises(cls.error, match=rf"^{key} .*{refusal}"):
+            cls(**values)
+    assert TrainConfig(**parse_config_text("[train]\nseed = 0\n")["train"]).seed == 0
 
 
 def test_train_config_validation():
@@ -715,21 +754,10 @@ def test_parse_config_rejects_unknowns_and_bad_values():
         parse_config_text("[model]\nresidual = maybe\n")
     with pytest.raises(TrainError, match="config:"):
         parse_config_text("lr = 1\n")
-    # non-finite floats and out-of-range counts and seeds fail at parse time
-    floats = [(section, f.name) for section, cls in (("model", ModelConfig),
-                                                     ("train", TrainConfig))
-              for f in fields(cls) if isinstance(f.default, float)]
-    assert len(floats) >= 8
-    for section, key in floats:
-        for raw in ("nan", "inf", "-inf"):
-            with pytest.raises(TrainError, match=rf"bad value '{raw}' for {section}\.{key} "
-                                                 r"\(must be finite\)"):
-                parse_config_text(f"[{section}]\n{key} = {raw}\n")
-    for section, key, raw in (("data", "count", "0"), ("data", "max_symbols", "-1"),
-                              ("train", "seed", "-4")):
+    # synth's counts belong to no config, so their minimums are checked here
+    for section, key, raw in (("data", "count", "0"), ("data", "max_symbols", "-1")):
         with pytest.raises(TrainError, match=rf"bad value '{raw}' for {section}\.{key}"):
             parse_config_text(f"[{section}]\n{key} = {raw}\n")
-    assert parse_config_text("[train]\nseed = 0\n")["train"] == {"seed": 0}
     # plateau knobs parse, then the TrainConfig they build rejects them
     for text in ("decay_factor = 5", "decay_factor = 0", "patience = 0", "patience = -1"):
         section = parse_config_text(f"[train]\n{text}\n")["train"]
