@@ -88,10 +88,10 @@ def _build_parser():
     graph_flags(sp)
 
     sp = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(sp, data=False, config=True)
+    common(sp, data=False)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
-    sp.add_argument("--count", type=_int_at_least(1), default=None)
-    sp.add_argument("--max-symbols", type=_int_at_least(1), default=None)
+    sp.add_argument("--count", type=_int_at_least(1), default=20)
+    sp.add_argument("--max-symbols", type=_int_at_least(1), default=8)
 
     sp = sub.add_parser("train", help="fit a model")
     common(sp, config=True)
@@ -117,10 +117,10 @@ def _build_parser():
 
 def _load_config(path):
     if path is None:
-        return {"model": {}, "train": {}, "data": {}}
+        return parse_config_text("")
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise TrainError(f"cannot read config {path}: {e}") from None
     return parse_config_text(text)
 
@@ -134,43 +134,35 @@ def _resolve_dataset(path):
     return read_dataset(p)
 
 
-def _configured(cls, cfg, sections, **values):
-    """cls(**values); a refused value is named by the first of sections that sets it."""
+def _configured(cls, section, **values):
+    """cls(**values), the values taken from the ini [section] and the flags."""
     try:
         return cls(**values)
-    except (GraphError, ModelError, TrainError) as e:
-        key = str(e).split()[0]
-        section = next((s for s in sections if key in cfg[s]), sections[0])
+    except cls.error as e:
         raise TrainError(f"config: bad value: {section}.{e}") from None
 
 
-def _graph_config(cfg, args):
-    data = {k: v for k, v in cfg["data"].items() if k not in ("count", "max_symbols")}
-    if "n_max" not in data and "n_max" in cfg["train"]:
-        data["n_max"] = cfg["train"]["n_max"]
+def _configs(args, vocab):
+    """(GraphConfig, ModelConfig, TrainConfig) from --config and the flags;
+    a flag the command does not take is off. Class counts come from vocab."""
+    cfg = _load_config(args.config)
+    data = dict(cfg["data"])
     if args.graph_global is not None:
         data["global_graph"] = args.graph_global
     if args.fc:
         data["full_connect"] = True
-    return _configured(GraphConfig, cfg, ("data", "train"), **data)
-
-
-def _model_config(cfg, args, vocab):
+    graph_cfg = _configured(GraphConfig, "data", **data)
     model = dict(cfg["model"])
-    model.setdefault("dropout", cfg["train"].get("dropout", 0.1))
     for flag, key in (("no_aux", "aux_readouts"), ("no_concat", "message_concat"),
                       ("no_residual", "residual")):
-        if getattr(args, flag):
+        if getattr(args, flag, False):
             model[key] = False
-    return _configured(ModelConfig, cfg, ("model", "train"), node_classes=vocab.num_symbols,
-                       edge_classes=vocab.num_edge_classes, **model)
-
-
-def _train_config(cfg, args, graph_cfg):
+    model_cfg = _configured(ModelConfig, "model", node_classes=vocab.num_symbols,
+                            edge_classes=vocab.num_edge_classes, **model)
     train = {**cfg["train"], "n_max": graph_cfg.n_max}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         train["seed"] = args.seed
-    return _configured(TrainConfig, cfg, ("train",), **train)
+    return graph_cfg, model_cfg, _configured(TrainConfig, "train", **train)
 
 
 def _params_from_checkpoint(path):
@@ -235,6 +227,14 @@ def _outdir(args, *subdirs):
 # commands
 
 
+def _parse_file(path, parse):
+    """parse(the bytes of path); an InkError names the file."""
+    try:
+        return parse(path.read_bytes())
+    except InkError as e:
+        raise InkError(f"{path.name}: {e}") from None
+
+
 def _cmd_ingest(args):
     root = Path(args.data)
     if not root.is_dir():
@@ -248,8 +248,8 @@ def _cmd_ingest(args):
         lg_path = ink_path.with_suffix(".lg")
         if not lg_path.exists():
             raise DatasetError(f"missing label graph for {ink_path.name}")
-        expr = parse_inkml(ink_path.read_bytes())
-        lg = parse_lg(lg_path.read_text(encoding="utf-8"))
+        expr = _parse_file(ink_path, parse_inkml)
+        lg = _parse_file(lg_path, parse_lg)
         if lg.num_strokes != len(expr.strokes):
             raise DatasetError(
                 f"{ink_path.name}: {len(expr.strokes)} strokes but label graph "
@@ -270,11 +270,7 @@ def _cmd_ingest(args):
 def _cmd_synth(args):
     from .synth import generate_synthetic
 
-    cfg = _load_config(args.config)
-    count = args.count if args.count is not None else cfg["data"].get("count", 20)
-    max_symbols = (args.max_symbols if args.max_symbols is not None
-                   else cfg["data"].get("max_symbols", 8))
-    pairs = generate_synthetic(args.seed, count, max_symbols)
+    pairs = generate_synthetic(args.seed, args.count, args.max_symbols)
     out = _outdir(args)
     write_dataset(out / DATASET_NAME, pairs, Vocabulary.default())
     print(f"wrote {len(pairs)} synthetic expressions -> {out / DATASET_NAME}")
@@ -282,8 +278,8 @@ def _cmd_synth(args):
 
 
 def _cmd_build_graph(args):
-    cfg = _load_config(args.config)
-    graph_cfg = _graph_config(cfg, args)
+    # every section is checked, so a file gets the verdict train gives it
+    graph_cfg, _, _ = _configs(args, Vocabulary.default())
     pairs, _ = _resolve_dataset(args.data)
     out = _outdir(args, "graphs")
     for expr, _lg, _local, full, _aligned in _graphs(pairs, graph_cfg):
@@ -294,11 +290,8 @@ def _cmd_build_graph(args):
 
 
 def _cmd_train(args):
-    cfg = _load_config(args.config)
     pairs, vocab = _resolve_dataset(args.data)
-    graph_cfg = _graph_config(cfg, args)
-    model_cfg = _model_config(cfg, args, vocab)
-    train_cfg = _train_config(cfg, args, graph_cfg)
+    graph_cfg, model_cfg, train_cfg = _configs(args, vocab)
 
     if train_cfg.val_fraction > 0.0:
         rng = np.random.default_rng(train_cfg.seed)

@@ -803,15 +803,16 @@ def log_softmax(logits, axis):
 # attention layer
 
 
-def edge_attention(h, b, wh, wb, att, edges, leaky_slope=None, message_concat=True,
+def edge_attention(h, b, wh, wb, att, edges, leaky_slope=0.2, message_concat=True,
                    residual=True, dropout_rate=0.0, rng=None):
     """One edge-featured attention layer as one op with two outputs.
 
     h: (V, H) node state, b: (E, H) state of the directed edges
     edges = (src, dst), sorted by source; wh, wb: (H, H); att: (3H, 1).
     Returns (h', b', attention), the last a plain (E,) array. The logits
-    score [h_src W_h ++ b W_b ++ h_dst W_h], through a leaky relu unless
-    leaky_slope is None, and are normalized over each source's out-edges.
+    score [h_src W_h ++ b W_b ++ h_dst W_h], through a leaky relu of slope
+    leaky_slope (1.0 keeps them linear), and are normalized over each
+    source's out-edges.
     Messages alpha * h_dst W_h are summed into the source; alpha * b W_b is
     the edge message. message_concat re-widens both with the aggregated edge
     context and averages adjacent feature pairs (nodes) or triples (edges)
@@ -850,12 +851,8 @@ def edge_attention(h, b, wh, wb, att, edges, leaky_slope=None, message_concat=Tr
     _check_finite(op, bw)
     hw_dst = hw[dst]
     logits = np.concatenate([hw[src], bw, hw_dst], axis=1) @ att.data
-    if leaky_slope is not None:
-        slope = float(leaky_slope)
-        scores = np.where(logits > 0, logits, logits * slope)
-    else:
-        scores = logits
-    alpha, softmax_grad = _softmax_runs(scores, src)
+    slope = float(leaky_slope)
+    alpha, softmax_grad = _softmax_runs(np.where(logits > 0, logits, logits * slope), src)
     _check_finite(op, alpha)
     h_msg = sum_src(alpha * hw_dst)
     b_msg = alpha * bw
@@ -924,8 +921,7 @@ def edge_attention(h, b, wh, wb, att, edges, leaky_slope=None, message_concat=Tr
             if need_hw:
                 g_hw_dst = acc(None, g_m * alpha)
         g_logits = acc(None, softmax_grad(g_alpha))
-        if leaky_slope is not None:
-            g_logits = acc(None, g_logits * np.where(logits > 0, 1.0, slope))
+        g_logits = acc(None, g_logits * np.where(logits > 0, 1.0, slope))
 
         if att.requires_grad:
             trip = np.concatenate([hw[src], bw, hw_at_dst], axis=1)
@@ -1102,8 +1098,9 @@ class Config:
     """Base of the config dataclasses. A field's type is its default's: a bool
     field takes only a bool, an int field an int but not a bool (NumPy ints are
     stored as int), a float field a finite int or float. A refused value raises
-    the subclass's ``error``, its message starting with the field name.
-    Subclasses run this __post_init__ before their range checks."""
+    the subclass's ``error``, its message starting with the field name;
+    from_dict refuses a key that names no field the same way. Subclasses run
+    this __post_init__ before their range checks."""
 
     @classmethod
     def field_types(cls, exclude=()):
@@ -1128,6 +1125,9 @@ class Config:
 
     @classmethod
     def from_dict(cls, d):
+        unknown = sorted(set(d) - cls.field_types().keys())
+        if unknown:
+            raise cls.error(f"{unknown[0]} is not a {cls.__name__} field")
         return cls(**d)
 
 

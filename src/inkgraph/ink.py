@@ -157,7 +157,10 @@ def parse_lg(text) -> LabelGraph:
     raise with the line number.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InkError(f"label graph is not UTF-8 text: {exc}") from None
     ids = {}
     node_labels = []
     pending_edges = []

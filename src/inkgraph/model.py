@@ -40,7 +40,6 @@ class ModelConfig(Config):
     edge_classes: int = 14
     readout_hidden: int = 384
     dropout: float = 0.1
-    attn_leaky_relu: bool = True
     leaky_slope: float = 0.2
     message_concat: bool = True
     residual: bool = True
@@ -162,7 +161,7 @@ def edge_attention_layer(h, b, edges, params, q, config, train=False, rng=None):
     """
     return eg.edge_attention(
         h, b, params[f"layer{q}.wh"], params[f"layer{q}.wb"], params[f"layer{q}.att"], edges,
-        leaky_slope=config.leaky_slope if config.attn_leaky_relu else None,
+        leaky_slope=config.leaky_slope,
         message_concat=config.message_concat, residual=config.residual,
         dropout_rate=config.dropout if train else 0.0, rng=rng)
 

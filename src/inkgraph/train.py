@@ -30,10 +30,8 @@ class TrainConfig(Config):
     """Training settings: optimizer, schedule, loss weights, validation split
     and seed.
 
-    fit never reads dropout or n_max. They carry the [train] ini fallbacks for
-    [model] dropout and [data] n_max and are recorded in the checkpoint;
-    training uses ModelConfig.dropout and GraphConfig.n_max, so
-    TrainConfig(dropout=0.3) alone changes nothing."""
+    fit never reads n_max, and no ini key sets it: the CLI copies
+    GraphConfig.n_max, which splits the chunks, so the checkpoint records it."""
 
     error = TrainError
 
@@ -45,7 +43,6 @@ class TrainConfig(Config):
     node_weight: float = 0.5
     aux_weight: float = 0.3
     focal_gamma: float = 1.5
-    dropout: float = 0.1
     n_max: int = 16
     val_fraction: float = 0.0
     seed: int = 0
@@ -282,25 +279,26 @@ def history_to_csv(history):
 # config file
 
 
-# class counts come from the vocabulary; count and max_symbols size synth's corpus
+# each section feeds exactly one config; the class counts come from the
+# vocabulary, and TrainConfig.n_max is GraphConfig's
 _TABLES = {"model": ModelConfig.field_types(exclude=("node_classes", "edge_classes")),
-           "train": TrainConfig.field_types(),
-           "data": {**GraphConfig.field_types(), "count": int, "max_symbols": int}}
-
-# synth's keys belong to no config, so their minimums are checked here
-_MINIMUMS = {("data", "count"): 1, ("data", "max_symbols"): 1}
+           "train": TrainConfig.field_types(exclude=("n_max",)),
+           "data": GraphConfig.field_types()}
 
 
 def parse_config_text(text):
-    """Parse the [model]/[train]/[data] key=value format. Unknown sections or
-    keys are errors; each value is turned into its key's type. The configs
-    built from the result check the values themselves."""
-    cp = configparser.ConfigParser()
+    """Parse the [model]/[train]/[data] key=value format. Values are literal
+    (no % interpolation), and unknown sections, [DEFAULT] included, and
+    unknown keys are errors; each value is turned into its key's type. The
+    configs built from the result check the values themselves."""
+    # no header can name an empty section, so [DEFAULT] is an ordinary,
+    # unknown section instead of defaults merged into every other one
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise TrainError(f"config: {exc}") from None
-    out = {"model": {}, "train": {}, "data": {}}
+    out = {section: {} for section in _TABLES}
     for section in cp.sections():
         if section not in _TABLES:
             raise TrainError(f"config: unknown section [{section}]")
@@ -313,9 +311,5 @@ def parse_config_text(text):
                 value = cp.BOOLEAN_STATES[raw.strip().lower()] if caster is bool else caster(raw)
             except (ValueError, KeyError):
                 raise TrainError(f"config: bad value {raw!r} for {section}.{key}") from None
-            low = _MINIMUMS.get((section, key))
-            if low is not None and value < low:
-                raise TrainError(f"config: bad value {raw!r} for {section}.{key} "
-                                 f"(must be >= {low})")
             out[section][key] = value
     return out

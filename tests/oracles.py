@@ -116,9 +116,7 @@ def chained_attention_layer(h, b, edges, params, q, config, train=False, rng=Non
     hw_dst = eg.gather_rows(hw, dst)
     trip = eg.concat([eg.gather_rows(hw, src), bw, hw_dst], axis=1)
     logits = eg.matmul(trip, params[f"layer{q}.att"])
-    if config.attn_leaky_relu:
-        logits = eg.leaky_relu(logits, config.leaky_slope)
-    alpha = eg.segment_softmax(logits, src)
+    alpha = eg.segment_softmax(eg.leaky_relu(logits, config.leaky_slope), src)
 
     h_msg = eg.scatter_rows(eg.mul(alpha, hw_dst), src, num_nodes)
     b_msg = eg.mul(alpha, bw)

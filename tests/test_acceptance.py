@@ -341,7 +341,7 @@ def test_masking_soundness():
                        edge_classes=vocab.num_edge_classes, readout_hidden=6,
                        dropout=0.0)
     params = init_parameters(mcfg, gcfg.edge_dim, seed=0, dtype=np.float64)
-    tcfg = TrainConfig(dropout=0.0)
+    tcfg = TrainConfig()
 
     def run(labels):
         with Tape() as tape:
@@ -507,8 +507,7 @@ def test_overfit_ordering():
     gcfg = GraphConfig(d_n=32, d_e=10, n_max=8, global_graph=True)
     vocab = Vocabulary.default()
     train_items, val_items = _overfit_items(gcfg, vocab)
-    tcfg = TrainConfig(lr=0.003, batch_size=32, max_epochs=300, dropout=0.0,
-                       n_max=8, seed=0)
+    tcfg = TrainConfig(lr=0.003, batch_size=32, max_epochs=300, n_max=8, seed=0)
 
     def run(**ablations):
         mcfg = ModelConfig(hidden=64, layers=2, node_classes=vocab.num_symbols,
@@ -552,7 +551,6 @@ dropout = 0.0
 lr = 0.01
 batch_size = 2
 max_epochs = 3
-dropout = 0.0
 seed = 4
 
 [data]

@@ -33,7 +33,6 @@ dropout = 0.0
 lr = 0.01
 batch_size = 2
 max_epochs = 2
-dropout = 0.0
 seed = 3
 
 [data]
@@ -121,6 +120,9 @@ def test_usage_errors_exit_1(capsys):
         assert f"usage: inkgraph {argv[0]} [-h]" in err, err
     _, _, err = _run(["train", "--data", "x"], capsys)
     assert "usage: inkgraph train [-h]" in err, err
+    # synth takes flags only
+    code, _, err = _run(["synth", "--out", "y", "--config", "a.ini"], capsys)
+    assert code == 1 and "unrecognized arguments: --config a.ini" in err, err
     _, _, err = _run(["bogus"], capsys)
     assert "usage: inkgraph [-h] COMMAND" in err, err
 
@@ -169,9 +171,7 @@ def test_data_errors_exit_2(workdir, capsys):
 
     # values that would otherwise fail mid-run (a traceback, or a non-finite
     # loss or attention score in training) are refused before the run starts
-    configs = [("synth", "[data]\ncount = 0\n", "data.count"),
-               ("synth", "[data]\nmax_symbols = 0\n", "data.max_symbols"),
-               ("train", "[train]\nseed = -4\n", "train.seed"),
+    configs = [("train", "[train]\nseed = -4\n", "train.seed"),
                ("train", "[train]\nlr = inf\n", "train.lr"),
                ("train", "[train]\nfocal_gamma = nan\n", "train.focal_gamma"),
                ("train", "[train]\naux_weight = nan\n", "train.aux_weight"),
@@ -182,16 +182,14 @@ def test_data_errors_exit_2(workdir, capsys):
                ("train", "[model]\nhidden = 64.0\n", "model.hidden"),
                ("train", "[train]\nbatch_size = 2.5\n", "train.batch_size"),
                ("build-graph", "[data]\nd_n = 32.5\n", "data.d_n"),
-               # a value that falls back to another section is named where it was set
-               ("train", "[train]\ndropout = nan\n", "train.dropout"),
-               ("build-graph", "[train]\nn_max = 1\n", "train.n_max")]
+               # build-graph checks every section, as train does
+               ("build-graph", "[train]\nlr = nan\n", "train.lr"),
+               ("build-graph", "[model]\nhidden = 3\n", "model.hidden")]
     for command, text, key in configs:
         cfg = workdir / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")
-        argv = [command, "--out", outd, "--config", str(cfg)]
-        if command != "synth":
-            argv += ["--data", str(data)]
-        code, _, err = _run(argv, capsys)
+        code, _, err = _run([command, "--out", outd, "--config", str(cfg),
+                             "--data", str(data)], capsys)
         assert code == 2, text
         assert err.startswith("error: config: bad value") and key in err, err
         assert "Traceback" not in err
@@ -247,6 +245,8 @@ def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, capsys):
 
     probes = [("model_config", "leaky_slope", "x"), ("graph_config", "d_e", 10.0),
               ("model_config", "attn_leaky_relu", "no"),
+              # as a checkpoint written before the switch was removed holds it
+              ("model_config", "attn_leaky_relu", True),
               ("graph_config", "global_graph", "false"),
               ("model_config", "hidden", True), ("model_config", "dropout", False),
               ("model_config", "residual", "no"), ("model_config", "hidden", 64.0),
@@ -272,12 +272,34 @@ def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, capsys):
 
 def test_bad_config_value_exits_2(workdir, capsys):
     bad = workdir / "bad.cfg"
-    bad.write_text("[train]\nlr = banana\n", encoding="utf-8")
     data = _synth(workdir, capsys)
-    code, _, err = _run(["train", "--data", str(data), "--out",
-                         str(workdir / "out"), "--config", str(bad)], capsys)
-    assert code == 2
-    assert "bad value" in err
+    # '5%' and a byte that is not UTF-8 were tracebacks, and a [DEFAULT]
+    # value was ignored
+    for content, message in ((b"[train]\nlr = banana\n", "bad value"),
+                             (b"[train]\nlr = 5%\n", "bad value '5%' for train.lr"),
+                             (b"[DEFAULT]\nlr = nan\n", "unknown section [DEFAULT]"),
+                             (b"[train]\nlr = 0.01 ; \xff\n", f"cannot read config {bad}")):
+        bad.write_bytes(content)
+        code, _, err = _run(["train", "--data", str(data), "--out",
+                             str(workdir / "out"), "--config", str(bad)], capsys)
+        assert code == 2, content
+        assert message in err and "Traceback" not in err, err
+
+
+def test_removed_config_keys_are_unknown(workdir, capsys):
+    # each of these only repeated another key or did nothing; every value
+    # now has one key, in the one section that feeds its config
+    data = _synth(workdir, capsys, count=2)
+    cfg = workdir / "old.cfg"
+    for section, key, raw in (("train", "dropout", "0.0"), ("train", "n_max", "8"),
+                              ("data", "count", "20"), ("data", "max_symbols", "8"),
+                              ("model", "attn_leaky_relu", "true")):
+        cfg.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        for command in ("train", "build-graph"):
+            code, _, err = _run([command, "--data", str(data), "--out", str(workdir / "out"),
+                                 "--config", str(cfg)], capsys)
+            assert code == 2, (command, key)
+            assert f"unknown key {key!r} in [{section}]" in err and "Traceback" not in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +454,15 @@ def test_ingest_packs_inkml_and_lg(workdir, capsys):
                          str(workdir / "packed2")], capsys)
     assert code == 2
     assert "missing label graph" in err
+
+
+def test_ingest_refuses_a_label_graph_that_is_not_utf8(workdir, capsys):
+    raw = _raw_dir(workdir)
+    (raw / "b.lg").write_bytes(LG_B.encode("utf-8").replace(b"a", b"\xff"))
+    code, _, err = _run(["ingest", "--data", str(raw), "--out", str(workdir / "packed")],
+                        capsys)
+    assert code == 2
+    assert "b.lg" in err and "not UTF-8" in err and "Traceback" not in err, err
 
 
 def test_ingest_rejects_stroke_count_mismatch(workdir, capsys):

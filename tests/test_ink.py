@@ -112,6 +112,8 @@ def test_parse_lg_errors_carry_line_numbers():
         parse_lg("N, s0, 1\n")
     with pytest.raises(InkError, match="line 1: E lines take"):
         parse_lg("E, s0, s1, Right\n")
+    with pytest.raises(InkError, match="label graph is not UTF-8 text"):
+        parse_lg(b"N, s0, \xff, 1.0\n")
 
 
 def _chords(rs):

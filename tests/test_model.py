@@ -57,7 +57,7 @@ def test_config_defaults_and_round_trip():
     cfg = ModelConfig()
     assert (cfg.hidden, cfg.layers, cfg.node_classes, cfg.edge_classes) == (512, 5, 101, 14)
     assert (cfg.readout_hidden, cfg.dropout, cfg.leaky_slope) == (384, 0.1, 0.2)
-    assert cfg.attn_leaky_relu and cfg.message_concat and cfg.residual and cfg.aux_readouts
+    assert cfg.message_concat and cfg.residual and cfg.aux_readouts
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -237,7 +237,7 @@ def test_attention_rows_sum_to_one_on_support():
 
 def test_single_neighbor_copies_transformed_source():
     rng = np.random.default_rng(4)
-    cfg = _small_config(message_concat=False, residual=False, attn_leaky_relu=False)
+    cfg = _small_config(message_concat=False, residual=False, leaky_slope=1.0)
     params = init_parameters(cfg, edge_dim=7, seed=0, dtype=np.float64)
     _randomize(params, rng)
     adj = np.array([[0, 1], [1, 0]], dtype=np.int8)
@@ -399,9 +399,9 @@ def test_attention_op_matches_the_chained_ops_byte_for_byte(dtype):
 
     for concat in (False, True):
         for residual in (False, True):
-            for leaky in (False, True):
+            for leaky_slope in (1.0, 0.2):
                 check(_small_config(hidden=hidden, message_concat=concat, residual=residual,
-                                    attn_leaky_relu=leaky), h, b, edges)
+                                    leaky_slope=leaky_slope), h, b, edges)
     cfg = _small_config(hidden=hidden, dropout=0.3)
 
     def generator():

@@ -6,6 +6,7 @@ import platform
 import re
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_train_config_defaults_and_round_trip():
     assert (cfg.lr, cfg.batch_size, cfg.max_epochs) == (0.00027, 32, 200)
     assert (cfg.patience, cfg.decay_factor) == (20, 0.1)
     assert (cfg.node_weight, cfg.aux_weight, cfg.focal_gamma) == (0.5, 0.3, 1.5)
-    assert (cfg.dropout, cfg.n_max, cfg.val_fraction, cfg.seed) == (0.1, 16, 0.0, 0)
+    assert (cfg.n_max, cfg.val_fraction, cfg.seed) == (16, 0.0, 0)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -263,7 +264,7 @@ def test_masked_primitives_cannot_move_loss_or_grads():
     mcfg = ModelConfig(hidden=8, layers=2, node_classes=vocab.num_symbols,
                        edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
     params = init_parameters(mcfg, edge_dim=7, seed=0)
-    tcfg = TrainConfig(dropout=0.0)
+    tcfg = TrainConfig()
     graph, aligned = _random_item(rng, 5, 7, vocab)
     aligned.node_mask[2] = 0.0  # stroke 2; the master has no label
     aligned.edge_mask[0] = 0.0  # the first support pair
@@ -296,7 +297,7 @@ def test_split_masks_cannot_move_loss_or_grads():
     mcfg = ModelConfig(hidden=8, layers=2, node_classes=vocab.num_symbols,
                        edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
     params = init_parameters(mcfg, gcfg.edge_dim, seed=0, dtype=np.float64)
-    tcfg = TrainConfig(dropout=0.0)
+    tcfg = TrainConfig()
 
     def run():
         with Tape() as tape:
@@ -453,7 +454,7 @@ def test_labels_off_the_support_raise():
     mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
                        edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
     params = init_parameters(mcfg, edge_dim=7, seed=0)
-    tcfg = TrainConfig(max_epochs=1, dropout=0.0)
+    tcfg = TrainConfig(max_epochs=1)
     graph, aligned = _random_item(rng, 6, 7, vocab)
     res = forward(graph, params, mcfg)
     graph_losses(res, [aligned], tcfg)
@@ -525,7 +526,7 @@ def test_fit_runs_and_reports_history():
     items, vocab, gcfg = _fit_items()
     mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
                        edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
-    tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=3, dropout=0.0, seed=1)
+    tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=3, seed=1)
     seen = []
     result = fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim,
                  progress=seen.append)
@@ -545,7 +546,7 @@ def test_fit_best_params_are_a_separate_snapshot_of_the_best_epoch():
                        edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.0)
 
     def run(epochs):
-        tcfg = TrainConfig(lr=0.05, batch_size=2, max_epochs=epochs, dropout=0.0, seed=3)
+        tcfg = TrainConfig(lr=0.05, batch_size=2, max_epochs=epochs, seed=3)
         return fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim)
 
     result = run(6)
@@ -567,7 +568,7 @@ def test_fit_releases_each_steps_gradients(monkeypatch):
     items, vocab, gcfg = _fit_items()
     mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
                        edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.1)
-    tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=2, dropout=0.1, seed=5)
+    tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=2, seed=5)
     made, stepped, seen = [], [], []
 
     def init(*args, **kwargs):
@@ -595,13 +596,13 @@ def test_fit_is_deterministic_for_a_seed():
     items, vocab, gcfg = _fit_items()
     mcfg = ModelConfig(hidden=8, layers=1, node_classes=vocab.num_symbols,
                        edge_classes=vocab.num_edge_classes, readout_hidden=6, dropout=0.1)
-    tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=2, dropout=0.1, seed=5)
+    tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=2, seed=5)
     r1 = fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim)
     r2 = fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim)
     assert r1.history == r2.history
     assert all(np.array_equal(r1.params[k].data, r2.params[k].data) for k in r1.params)
-    r3 = fit(items, items, mcfg, TrainConfig(lr=0.01, batch_size=2, max_epochs=2,
-                                             dropout=0.1, seed=6), edge_dim=gcfg.edge_dim)
+    r3 = fit(items, items, mcfg, TrainConfig(lr=0.01, batch_size=2, max_epochs=2, seed=6),
+             edge_dim=gcfg.edge_dim)
     assert r1.history != r3.history
 
 
@@ -709,27 +710,25 @@ seed = 9
 [data]
 d_n = 32
 global_graph = true
-count = 20
 """
     out = parse_config_text(text)
     assert out["model"] == {"hidden": 64, "layers": 2, "dropout": 0.2,
                             "message_concat": True, "residual": False}
     assert out["train"] == {"lr": 0.003, "batch_size": 4, "seed": 9}
-    assert out["data"] == {"d_n": 32, "global_graph": True, "count": 20}
+    assert out["data"] == {"d_n": 32, "global_graph": True}
     assert isinstance(out["train"]["lr"], float)
     assert isinstance(out["data"]["d_n"], int)
 
     # every key the README documents parses, coerced to its field's type
     documented = {
         "model": {"hidden": int, "layers": int, "readout_hidden": int, "dropout": float,
-                  "attn_leaky_relu": bool, "leaky_slope": float, "message_concat": bool,
-                  "residual": bool, "aux_readouts": bool},
+                  "leaky_slope": float, "message_concat": bool, "residual": bool,
+                  "aux_readouts": bool},
         "train": {"lr": float, "batch_size": int, "max_epochs": int, "patience": int,
                   "decay_factor": float, "node_weight": float, "aux_weight": float,
-                  "focal_gamma": float, "dropout": float, "n_max": int,
-                  "val_fraction": float, "seed": int},
+                  "focal_gamma": float, "val_fraction": float, "seed": int},
         "data": {"d_n": int, "d_e": int, "n_max": int, "global_graph": bool,
-                 "full_connect": bool, "count": int, "max_symbols": int},
+                 "full_connect": bool},
     }
     raw = {int: "3", float: "0.5", bool: "no"}
     text = "".join(f"[{section}]\n" + "".join(f"{k} = {raw[t]}\n" for k, t in keys.items())
@@ -737,6 +736,17 @@ count = 20
     out = parse_config_text(text)
     for section, keys in documented.items():
         assert {k: type(v) for k, v in out[section].items()} == keys, section
+
+
+def test_readme_config_block_is_a_file_of_every_key_at_its_default():
+    # a copy of the README's block must load; a ';' after a value is part of it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    out = parse_config_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    for section, cls, unset in (("model", ModelConfig, {"node_classes", "edge_classes"}),
+                                ("train", TrainConfig, {"n_max"}),
+                                ("data", GraphConfig, set())):
+        assert out[section].keys() == {f.name for f in fields(cls)} - unset, section
+        assert cls(**out[section]) == cls(), section
 
 
 def test_parse_config_rejects_unknowns_and_bad_values():
@@ -754,10 +764,15 @@ def test_parse_config_rejects_unknowns_and_bad_values():
         parse_config_text("[model]\nresidual = maybe\n")
     with pytest.raises(TrainError, match="config:"):
         parse_config_text("lr = 1\n")
-    # synth's counts belong to no config, so their minimums are checked here
-    for section, key, raw in (("data", "count", "0"), ("data", "max_symbols", "-1")):
-        with pytest.raises(TrainError, match=rf"bad value '{raw}' for {section}\.{key}"):
-            parse_config_text(f"[{section}]\n{key} = {raw}\n")
+    # a value is its literal text: no % interpolation from another key
+    with pytest.raises(TrainError, match=r"bad value '5%' for train\.lr"):
+        parse_config_text("[train]\nlr = 5%\n")
+    with pytest.raises(TrainError, match=r"bad value '%\(seed\)s' for train\.lr"):
+        parse_config_text("[train]\nseed = 3\nlr = %(seed)s\n")
+    # [DEFAULT] is no section of any config, so it is refused, not merged
+    for text in ("[DEFAULT]\nlr = nan\n", "[train]\nlr = 0.1\n[DEFAULT]\nseed = 2\n"):
+        with pytest.raises(TrainError, match=r"unknown section \[DEFAULT\]"):
+            parse_config_text(text)
     # plateau knobs parse, then the TrainConfig they build rejects them
     for text in ("decay_factor = 5", "decay_factor = 0", "patience = 0", "patience = -1"):
         section = parse_config_text(f"[train]\n{text}\n")["train"]
