@@ -819,12 +819,16 @@ def edge_attention(h, b, wh, wb, att, edges, leaky_slope=0.2, message_concat=Tru
     back to H; residual adds h and b; dropout_rate > 0 draws h's mask, then
     b's, each through np.random.default_rng(rng).
 
-    The NumPy operations are those of the composed chain of engine ops
+    With message_concat the op forms no concatenation and no E x H x H
+    product: it averages W_b's columns before the product (see
+    _pooled_messages) and equals the chain of single engine ops to
+    rounding. Without it the NumPy operations are those of the chain
     (matmul, gather_rows, concat, leaky_relu, segment_softmax, mul,
-    scatter_rows, reshape, tmean, add, dropout), in its order, so outputs and
-    gradients are the same bytes. The tape node keeps only hw, bw, the
-    logits, alpha and the dropout masks as bool; backward rebuilds the
-    (E, 3H) concatenation and the hw[dst] gather from them.
+    scatter_rows, add, dropout), in its order, so outputs and gradients are
+    the chain's bytes. Besides the outputs and the dropout masks as bool,
+    the tape node keeps no (E, H) float array with message_concat, and only
+    b W_b without it. Outside a tape nothing is built that only the
+    backward reads.
     """
     op = "edge_attention"
     h = _as_tensor(h)
@@ -843,85 +847,84 @@ def edge_attention(h, b, wh, wb, att, edges, leaky_slope=0.2, message_concat=Tru
         raise ShapeError(f"{op}: edges must be sorted by source")
     if not 0.0 <= dropout_rate < 1.0:
         raise EngineError(f"{op}: dropout rate must be in [0, 1), got {dropout_rate}")
-    sum_src, sum_dst = _segment_summer(src, num_nodes), _segment_summer(dst, num_nodes)
 
-    hw = h.data @ wh.data
-    bw = b.data @ wb.data
-    _check_finite(op, hw)
-    _check_finite(op, bw)
-    hw_dst = hw[dst]
-    logits = np.concatenate([hw[src], bw, hw_dst], axis=1) @ att.data
-    slope = float(leaky_slope)
-    alpha, softmax_grad = _softmax_runs(np.where(logits > 0, logits, logits * slope), src)
-    _check_finite(op, alpha)
-    h_msg = sum_src(alpha * hw_dst)
-    b_msg = alpha * bw
-    if message_concat:
-        h_out = _short_mean(np.concatenate([h_msg, sum_src(b_msg)], axis=1)
-                            .reshape(num_nodes, hidden, 2), 2)
-        b_out = _short_mean(np.concatenate([h_msg[src], b_msg, h_msg[dst]], axis=1)
-                            .reshape(num_edges, hidden, 3), 2)
-    else:
-        h_out, b_out = h_msg, b_msg
+    messages = _pooled_messages if message_concat else _plain_messages
+    h_out, b_out, alpha, back_messages = messages(h, b, wh, wb, att, src, dst,
+                                                  float(leaky_slope))
+    # h_out and b_out are the op's own arrays: updating them in place runs
+    # the chain's operations without its copies
     if residual:
-        h_out = h_out + h.data
-        b_out = b_out + b.data
+        h_out += h.data
+        b_out += b.data
     keep_h = keep_b = None
     if dropout_rate > 0:
         factor = 1.0 / (1.0 - dropout_rate)
         keep_h = np.random.default_rng(rng).random(h_out.shape) >= dropout_rate
-        h_out = h_out * keep_h * factor
+        h_out *= keep_h
+        h_out *= factor
         keep_b = np.random.default_rng(rng).random(b_out.shape) >= dropout_rate
-        b_out = b_out * keep_b * factor
+        b_out *= keep_b
+        b_out *= factor
     _check_finite(op, h_out)
     _check_finite(op, b_out)
     dtype = h.dtype
-
-    def acc(prev, g):
-        # _accum's arithmetic for a gradient that stays inside the op
-        return g.astype(dtype, copy=False) if prev is None else (prev + g).astype(dtype, copy=False)
 
     def back(g_hout, g_bout):
         # The chain's backward, node by node in reverse; a branch whose
         # output got no gradient is skipped, not fed zeros.
         if keep_h is not None:
             if g_bout is not None:
-                g_bout = acc(None, g_bout * keep_b * factor)
+                g_bout = _acc(None, g_bout * keep_b * factor, dtype)
             if g_hout is not None:
-                g_hout = acc(None, g_hout * keep_h * factor)
+                g_hout = _acc(None, g_hout * keep_h * factor, dtype)
         if residual:
             if g_bout is not None:
                 _accum(b, g_bout)
             if g_hout is not None:
                 _accum(h, g_hout)
-        if message_concat:
-            g_hmsg = g_bmsg = None
-            if g_bout is not None:
-                g_cat = np.repeat(g_bout / 3, 3, axis=1)
-                g_bmsg = g_cat[:, hidden:2 * hidden]
-                g_hmsg = acc(sum_dst(g_cat[:, 2 * hidden:]), sum_src(g_cat[:, :hidden]))
-            if g_hout is not None:
-                g_cat = np.repeat(g_hout / 2, 2, axis=1)
-                g_hmsg = acc(g_hmsg, g_cat[:, :hidden])
-                g_bmsg = acc(g_bmsg, g_cat[:, hidden:][src])
-        else:
-            g_hmsg, g_bmsg = g_hout, g_bout
+        back_messages(g_hout, g_bout)
 
+    h_next, b_next = _record_outputs((h_out, b_out), (h, b, wh, wb, att), back)
+    return h_next, b_next, alpha[:, 0].copy()
+
+
+def _acc(prev, g, dtype):
+    # _accum's arithmetic for a gradient that stays inside an op
+    return g.astype(dtype, copy=False) if prev is None else (prev + g).astype(dtype, copy=False)
+
+
+def _plain_messages(h, b, wh, wb, att, src, dst, slope):
+    """edge_attention's messages without message_concat, in the chain's
+    operations: (h_msg, b_msg, alpha (E, 1), backward of the two)."""
+    op = "edge_attention"
+    num_nodes, hidden = h.shape
+    dtype = h.dtype
+    sum_src = _segment_summer(src, num_nodes)
+    hw = h.data @ wh.data
+    bw = b.data @ wb.data
+    _check_finite(op, hw)
+    _check_finite(op, bw)
+    hw_dst = hw[dst]
+    logits = np.concatenate([hw[src], bw, hw_dst], axis=1) @ att.data
+    alpha, softmax_grad = _softmax_runs(np.where(logits > 0, logits, logits * slope), src)
+    _check_finite(op, alpha)
+
+    def back(g_hmsg, g_bmsg):
         need_hw = h.requires_grad or wh.requires_grad
         need_bw = b.requires_grad or wb.requires_grad
         g_alpha = g_bw = g_hw_dst = None
         hw_at_dst = hw[dst]
         if g_bmsg is not None:
-            g_alpha = acc(None, (g_bmsg * bw).sum(axis=1, keepdims=True))
+            g_alpha = _acc(None, (g_bmsg * bw).sum(axis=1, keepdims=True), dtype)
             if need_bw:
-                g_bw = acc(None, g_bmsg * alpha)
+                g_bw = _acc(None, g_bmsg * alpha, dtype)
         if g_hmsg is not None:
             g_m = g_hmsg[src]
-            g_alpha = acc(g_alpha, (g_m * hw_at_dst).sum(axis=1, keepdims=True))
+            g_alpha = _acc(g_alpha, (g_m * hw_at_dst).sum(axis=1, keepdims=True), dtype)
             if need_hw:
-                g_hw_dst = acc(None, g_m * alpha)
-        g_logits = acc(None, softmax_grad(g_alpha))
-        g_logits = acc(None, g_logits * np.where(logits > 0, 1.0, slope))
+                g_hw_dst = _acc(None, g_m * alpha, dtype)
+        g_logits = _acc(None, softmax_grad(g_alpha), dtype)
+        g_logits = _acc(None, g_logits * np.where(logits > 0, 1.0, slope), dtype)
 
         if att.requires_grad:
             trip = np.concatenate([hw[src], bw, hw_at_dst], axis=1)
@@ -932,21 +935,218 @@ def edge_attention(h, b, wh, wb, att, edges, leaky_slope=0.2, message_concat=Tru
         # slow K = 1 GEMM
         g_trip = g_logits * att.data.T
         if need_bw:
-            g_bw = acc(g_bw, g_trip[:, hidden:2 * hidden])
+            g_bw = _acc(g_bw, g_trip[:, hidden:2 * hidden], dtype)
             if b.requires_grad:
                 _accum(b, g_bw @ wb.data.T)
             if wb.requires_grad:
                 _accum(wb, b.data.T @ g_bw)
         if need_hw:
-            g_hw_dst = acc(g_hw_dst, g_trip[:, 2 * hidden:])
-            g_hw = acc(sum_src(g_trip[:, :hidden]), sum_dst(g_hw_dst))
+            sum_dst = _segment_summer(dst, num_nodes)
+            g_hw_dst = _acc(g_hw_dst, g_trip[:, 2 * hidden:], dtype)
+            g_hw = _acc(sum_src(g_trip[:, :hidden]), sum_dst(g_hw_dst), dtype)
             if h.requires_grad:
                 _accum(h, g_hw @ wh.data.T)
             if wh.requires_grad:
                 _accum(wh, h.data.T @ g_hw)
 
-    h_next, b_next = _record_outputs((h_out, b_out), (h, b, wh, wb, att), back)
-    return h_next, b_next, alpha[:, 0].copy()
+    return sum_src(alpha * hw_dst), alpha * bw, alpha, back
+
+
+_ATTENTION_ROWS = 32  # source nodes per block of the attention matrix
+
+
+def _attention_blocks(src, dst, num_nodes):
+    """Diagonal blocks that hold every edge of the (V, V) matrix of alpha:
+    per run of up to _ATTENTION_ROWS source nodes, (rows, columns, edge
+    slice, the edges' row and column in the block). A block spans only the
+    targets of its edges, so a disjoint union of small graphs never builds a
+    matrix that grows with the square of the batch."""
+    blocks = []
+    for lo in range(0, num_nodes, _ATTENTION_ROWS):
+        hi = min(lo + _ATTENTION_ROWS, num_nodes)
+        first, last = np.searchsorted(src, (lo, hi))
+        if first < last:
+            ends = dst[first:last]
+            left, right = int(ends.min()), int(ends.max()) + 1
+            blocks.append((slice(lo, hi), slice(left, right), slice(first, last),
+                           src[first:last] - lo, ends - left))
+    return blocks
+
+
+def _block_matrix(alpha, block):
+    """The block's (rows, columns) part of the matrix of alpha; a repeated
+    edge adds."""
+    rows, cols, edge, at_row, at_col = block
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    flat = np.bincount(at_row * shape[1] + at_col, weights=alpha[edge, 0],
+                       minlength=shape[0] * shape[1])
+    return flat.reshape(shape).astype(alpha.dtype, copy=False)
+
+
+def _block_sums(blocks, x, num_nodes, at_target=False, weights=None):
+    """Rows of x, one per edge and times its weight if given, summed into
+    each edge's source node (or its target), by one product with the
+    weighted incidence of each block's edges: at the widths here that is
+    several times faster than np.add.reduceat."""
+    out = np.zeros((num_nodes, x.shape[1]), x.dtype)
+    for rows, cols, edge, at_row, at_col in blocks:
+        nodes, at = (cols, at_col) if at_target else (rows, at_row)
+        incidence = np.zeros((nodes.stop - nodes.start, len(at)), x.dtype)
+        incidence[at, np.arange(len(at))] = 1 if weights is None else weights[edge]
+        out[nodes] += incidence @ x[edge]
+    return out
+
+
+def _pool(x, offset, k):
+    """The columns of x, placed from column `offset` of a wider row, averaged
+    in that row's adjacent groups of k: (first group, (rows, groups) part of
+    the average, one column per group that x reaches)."""
+    width = x.shape[1]
+    lead = min(-offset % k, width)  # x's columns in a group begun before x
+    whole = (width - lead) // k
+    tail = width - lead - k * whole  # x's columns in a group that ends after x
+    # a product with a length-k vector sums the whole groups at memory speed;
+    # a strided sum or an axis-2 reduction is several times slower
+    body = x[:, lead:lead + k * whole].reshape(len(x), whole, k) @ np.full(k, 1 / k, x.dtype)
+    if not (lead or tail):
+        return offset // k, body
+    parts = [x[:, :lead].sum(axis=1, keepdims=True) / k] if lead else []
+    parts.append(body)
+    if tail:
+        parts.append(x[:, width - tail:].sum(axis=1, keepdims=True) / k)
+    return offset // k, np.concatenate(parts, axis=1)
+
+
+def _unpool(g, offset, width, k):
+    """The transpose of _pool(x, offset, k) for x of `width` columns: every
+    column of x gets the gradient of its group, over k. g's columns are x's
+    groups, from the first on."""
+    return (g / k)[:, (offset + np.arange(width)) // k - offset // k]
+
+
+def _pooled_messages(h, b, wh, wb, att, src, dst, slope):
+    """edge_attention's messages with message_concat, as the pooled
+    projection: (h_out, b_out, alpha (E, 1), backward of the two).
+
+    Averaging adjacent columns is linear, so it is applied to W_b before
+    the product. With a = [a_src; a_mid; a_dst], the logits are
+    (hW_h a_src)[src] + b (W_b a_mid) + (hW_h a_dst)[dst]. Node messages
+    are A (hW_h), with A the matrix of alpha, built in diagonal blocks. The
+    node output averages [A hW_h | c W_b] in pairs, with c the sum of
+    alpha * b over each node's out-edges, so c is projected through W_b's
+    pair-averaged columns (H x H/2). The edge output averages
+    [h_msg[src] | alpha b W_b | h_msg[dst]] in triples: the triple-averaged
+    columns of h_msg gathered at src and dst, plus alpha (b W_b P3), where
+    W_b P3 is W_b's triple-averaged column block (H x about H/3). No
+    (E, 3H) concatenation and no E x H x H product is formed.
+
+    The tape node keeps hW_h, c and b W_b P3: (V, H), (V, H) and
+    (E, about H/3) floats, plus the logits and alpha.
+    """
+    op = "edge_attention"
+    num_nodes, hidden = h.shape
+    num_edges = b.shape[0]
+    dtype = h.dtype
+    a = att.data
+    ends = np.concatenate([a[:hidden], a[2 * hidden:]], axis=1)  # (H, 2): a_src, a_dst
+    a_mid = a[hidden:2 * hidden]
+
+    def pooled_wb():
+        return _pool(wb.data, hidden, 2), _pool(wb.data, hidden, 3)
+
+    (g2, wb2), (g3, wb3) = pooled_wb()
+    hw = h.data @ wh.data
+    _check_finite(op, hw)
+    bp = b.data @ wb3
+    _check_finite(op, bp)
+    ends_w = hw @ ends
+    u = wb.data @ a_mid
+    logits = ends_w[src, :1] + b.data @ u + ends_w[dst, 1:]
+    alpha, softmax_grad = _softmax_runs(np.where(logits > 0, logits, logits * slope), src)
+    _check_finite(op, alpha)
+
+    blocks = _attention_blocks(src, dst, num_nodes)
+    h_msg = np.zeros((num_nodes, hidden), dtype)
+    for block in blocks:
+        h_msg[block[0]] = _block_matrix(alpha, block) @ hw[block[1]]
+    c = _block_sums(blocks, b.data, num_nodes, weights=alpha[:, 0])
+
+    h_out = np.zeros((num_nodes, hidden), dtype)
+    _, node_part = _pool(h_msg, 0, 2)
+    h_out[:, :node_part.shape[1]] += node_part
+    h_out[:, g2:g2 + wb2.shape[1]] += c @ wb2
+    b_out = np.zeros((num_edges, hidden), dtype)
+    _, src_part = _pool(h_msg, 0, 3)
+    n_src = src_part.shape[1]
+    b_out[:, :n_src] += src_part[src]
+    b_out[:, g3:g3 + wb3.shape[1]] += alpha * bp
+    g_dst, dst_part = _pool(h_msg, 2 * hidden, 3)
+    b_out[:, g_dst:] += dst_part[dst]
+
+    def back(g_hout, g_bout):
+        (g2, wb2), (g3, wb3) = pooled_wb()
+        g_alpha = np.zeros(num_edges, dtype)
+        g_hmsg = np.zeros((num_nodes, hidden), dtype)
+        g_b = g_cw = g_wb_edges = None
+        if g_hout is not None:
+            g_hmsg += _unpool(g_hout, 0, hidden, 2)
+            g_c = g_hout[:, g2:g2 + wb2.shape[1]]
+            # c W_b's gradient has V rows, few enough to unpool before the
+            # product that gives W_b's gradient
+            g_cw = _unpool(g_c, hidden, hidden, 2)
+            g_c = (g_c @ wb2.T)[src]
+            g_alpha += np.einsum("ij,ij->i", g_c, b.data)
+            if b.requires_grad:
+                g_b = alpha * g_c
+        if g_bout is not None:
+            g_hmsg += _unpool(_block_sums(blocks, g_bout[:, :n_src], num_nodes), 0, hidden, 3)
+            g_hmsg += _unpool(_block_sums(blocks, g_bout[:, g_dst:], num_nodes, at_target=True),
+                              2 * hidden, hidden, 3)
+            g_bp = g_bout[:, g3:g3 + wb3.shape[1]]
+            g_alpha += np.einsum("ij,ij->i", g_bp, bp)
+            g_bp = alpha * g_bp
+            if wb.requires_grad:
+                g_wb_edges = _unpool(b.data.T @ g_bp, hidden, hidden, 3)
+            if b.requires_grad:
+                g_proj = g_bp @ wb3.T
+                g_b = g_proj if g_b is None else g_b + g_proj
+
+        need_hw = h.requires_grad or wh.requires_grad
+        g_hw = np.zeros((num_nodes, hidden), dtype)
+        for block in blocks:
+            rows, cols, edge, at_row, at_col = block
+            g_alpha[edge] += (g_hmsg[rows] @ hw[cols].T)[at_row, at_col]
+            if need_hw:
+                g_hw[cols] += _block_matrix(alpha, block).T @ g_hmsg[rows]
+
+        g_logits = _acc(None, softmax_grad(g_alpha[:, None])
+                        * np.where(logits > 0, 1.0, slope), dtype)
+        g_ends = np.concatenate([_block_sums(blocks, g_logits, num_nodes),
+                                 _block_sums(blocks, g_logits, num_nodes, at_target=True)],
+                                axis=1)  # (V, 2)
+        g_u = b.data.T @ g_logits
+        if att.requires_grad:
+            g_ends_w = hw.T @ g_ends
+            _accum(att, np.concatenate([g_ends_w[:, :1], wb.data.T @ g_u, g_ends_w[:, 1:]]))
+        if b.requires_grad:
+            g_b += g_logits * u.T
+            _accum(b, g_b)
+        if wb.requires_grad:
+            if g_cw is None:
+                g_wb = g_u * a_mid.T
+            else:  # the logits' term and c W_b's as one product
+                g_wb = np.concatenate([c, g_u.T]).T @ np.concatenate([g_cw, a_mid.T])
+            if g_wb_edges is not None:
+                g_wb += g_wb_edges
+            _accum(wb, g_wb)
+        if need_hw:
+            g_hw += g_ends @ ends.T
+            if h.requires_grad:
+                _accum(h, g_hw @ wh.data.T)
+            if wh.requires_grad:
+                _accum(wh, h.data.T @ g_hw)
+
+    return h_out, b_out, alpha, back
 
 
 # ---------------------------------------------------------------------------

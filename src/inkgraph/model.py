@@ -4,10 +4,14 @@ Nodes are embedded by a separable-convolution encoder over resampled
 coordinates, edges by a shared two-layer MLP. State lives on the nodes (V,
 hidden) and on the directed edges (E, hidden) of the graph, in the order of
 its edge feature rows (graphs.ModeledGraph.edges). Each attention layer
-scores (source, edge, target) concatenations per edge, normalizes over each
-source's out-edges, then scatter-adds messages; the
-message-concatenation variant re-widens features with the aggregated edge
-context and restores width by averaging adjacent features. Readouts (final
+scores (source, edge, target) per edge, normalizes over each source's
+out-edges, then sums messages into the source; the message-concatenation
+variant re-widens features with the aggregated edge context and restores
+width by averaging adjacent features. The layer is one engine op,
+eg.edge_attention: with message concatenation it applies that average to
+W_b's columns before the product, forms no concatenation and matches the
+chain of single ops to rounding; without it, it runs the chain's
+operations and gives its bytes. Readouts (final
 plus one auxiliary per earlier stage) consume the stage feature concatenated
 with the stage-0 embedding. A list of graphs runs as one disjoint union, with
 the node indices of each graph offset by the nodes before it.

@@ -375,10 +375,11 @@ def _all_same_bytes(got, want):
         assert g is None or _same_bytes(g, w), k
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_attention_op_matches_the_chained_ops_byte_for_byte(dtype):
+def _attention_case(dtype, hidden):
+    """A 7-node graph in which node 3 has in-edges but sends no message, its
+    node and edge states, and no edges at all, in `dtype`."""
     rng = np.random.default_rng(12)
-    n, hidden = 7, 16
+    n = 7
     adj = (rng.random((n, n)) < 0.5).astype(np.int8)
     np.fill_diagonal(adj, 0)
     adj[3] = 0  # node 3 has in-edges but sends no message
@@ -387,33 +388,120 @@ def test_attention_op_matches_the_chained_ops_byte_for_byte(dtype):
     h = rng.standard_normal((n, hidden)).astype(dtype)
     b = rng.standard_normal((len(edges[0]), hidden)).astype(dtype)
     no_edges = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+    return h, b, edges, no_edges
 
+
+def _compare_with_chain(dtype, compare):
+    """check(cfg, h, b, edges, make_rng, outputs) runs the op and the chain
+    of single ops under a tape and hands both results to compare; make_rng
+    gives each side its own rng in the same state."""
     def check(cfg, h, b, edges, make_rng=lambda: None, outputs=("h", "b")):
-        # make_rng gives each side its own rng in the same state
         params = init_parameters(cfg, edge_dim=3, seed=1, dtype=dtype)
         _randomize(params, np.random.default_rng(2), scale=0.3)
         got = _taped_layer(edge_attention_layer, h, b, edges, params, cfg, make_rng(), outputs)
         want = _taped_layer(chained_attention_layer, h, b, edges, params, cfg, make_rng(),
                             outputs)
-        _all_same_bytes(got, want)
+        compare(got, want)
 
-    for concat in (False, True):
-        for residual in (False, True):
-            for leaky_slope in (1.0, 0.2):
-                check(_small_config(hidden=hidden, message_concat=concat, residual=residual,
-                                    leaky_slope=leaky_slope), h, b, edges)
-    cfg = _small_config(hidden=hidden, dropout=0.3)
+    return check
 
-    def generator():
-        return np.random.default_rng(5)
 
-    for make_rng in (generator, lambda: 5):
+def _generator():
+    return np.random.default_rng(5)
+
+
+def _check_attention_cases(dtype, hidden, message_concat, compare):
+    """The op against the chain of single ops on _attention_case's graph:
+    every residual and slope, dropout from a Generator and from an int seed,
+    no edges, and a loss on h' only and on b' only."""
+    h, b, edges, no_edges = _attention_case(dtype, hidden)
+    check = _compare_with_chain(dtype, compare)
+    for residual in (False, True):
+        for leaky_slope in (1.0, 0.2):
+            check(_small_config(hidden=hidden, message_concat=message_concat,
+                                residual=residual, leaky_slope=leaky_slope), h, b, edges)
+    cfg = _small_config(hidden=hidden, dropout=0.3, message_concat=message_concat)
+    for make_rng in (_generator, lambda: 5):
         check(cfg, h, b, edges, make_rng)
-    check(cfg, h, b[:0], no_edges, generator)
-    for concat in (False, True):
-        for outputs in (("h",), ("b",)):
-            check(_small_config(hidden=hidden, dropout=0.3, message_concat=concat),
-                  h, b, edges, generator, outputs)
+    check(cfg, h, b[:0], no_edges, _generator)
+    for outputs in (("h",), ("b",)):
+        check(cfg, h, b, edges, _generator, outputs)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_op_matches_the_chained_ops_byte_for_byte(dtype):
+    # without message_concat the op runs the chain's operations in its order
+    _check_attention_cases(dtype, 16, False, _all_same_bytes)
+
+
+# the pooled projection sums in another order than the chain: on these
+# cases float32 moves by at most 7e-7 of each array's largest entry
+POOLED_TOLERANCE = {np.float64: 1e-12, np.float32: 5e-6}
+
+
+def _close(dtype):
+    def compare(got, want):
+        for k, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert (g is None) == (w is None), k
+            if g is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape, k
+                assert rel_err(g, w) <= POOLED_TOLERANCE[dtype], (k, rel_err(g, w))
+
+    return compare
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [2, 4, 6, 8])
+def test_pooled_attention_op_matches_the_chained_ops(dtype, hidden):
+    # hidden 2, 4, 6 and 8 take every residue mod 3, so a triple of the edge
+    # concatenation straddles the edge block in every way it can
+    _check_attention_cases(dtype, hidden, True, _close(dtype))
+
+
+def test_pooled_attention_op_matches_the_chain_across_attention_blocks():
+    # 75 nodes make three blocks of source rows; random edges reach targets
+    # in every block, so the blocks' target columns overlap
+    rng = np.random.default_rng(14)
+    n, hidden = 3 * eg._ATTENTION_ROWS - 21, 6
+    adj = (rng.random((n, n)) < 0.1).astype(np.int8)
+    np.fill_diagonal(adj, 0)
+    adj[eg._ATTENTION_ROWS + 1] = 0  # a sender-free node inside the second block
+    edges = np.nonzero(adj)
+    h = rng.standard_normal((n, hidden))
+    b = rng.standard_normal((len(edges[0]), hidden))
+    assert len(eg._attention_blocks(*edges, n)) == 3
+
+    check = _compare_with_chain(np.float64, _close(np.float64))
+    check(_small_config(hidden=hidden, dropout=0.3), h, b, edges, _generator)
+
+
+@pytest.mark.parametrize("hidden", [6, 8])
+def test_pooled_attention_backward_matches_finite_differences(hidden):
+    # float64, through residuals and a dropout mask drawn from an int seed
+    # (the same mask on every call), with both outputs in the loss
+    h, b, edges, _ = _attention_case(np.float64, hidden)
+    cfg = _small_config(hidden=hidden, dropout=0.25)
+    params = init_parameters(cfg, edge_dim=3, seed=1, dtype=np.float64)
+    _randomize(params, np.random.default_rng(2), scale=0.3)
+    arrays = {"h": h, "b": b, **{k: params[f"layer0.{k}"].data for k in ("wh", "wb", "att")}}
+    weights = np.random.default_rng(9)
+    wh_out, wb_out = weights.standard_normal(h.shape), weights.standard_normal(b.shape)
+
+    def loss(t):
+        h_next, b_next, _ = eg.edge_attention(
+            t["h"], t["b"], t["wh"], t["wb"], t["att"], edges, leaky_slope=cfg.leaky_slope,
+            dropout_rate=cfg.dropout, rng=7)
+        return eg.add(eg.tsum(eg.mul(h_next, Tensor(wh_out))),
+                      eg.tsum(eg.mul(b_next, Tensor(wb_out))))
+
+    tensors = {k: Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
+    with Tape() as tape:
+        backward(tape, loss(tensors))
+    for name, value in arrays.items():
+        def f(x, name=name):
+            return float(loss({**arrays, name: x}).data)
+
+        assert rel_err(tensors[name].grad, finite_diff_grad(f, value)) < 1e-7, name
 
 
 def test_attention_op_records_one_node_and_keeps_no_concatenation():
@@ -436,11 +524,14 @@ def test_attention_op_records_one_node_and_keeps_no_concatenation():
         assert len(tape) == 1
     finally:
         tracemalloc.stop()
-    # the outputs, hw and bw, and two bool masks, plus a little index and
-    # bookkeeping; the (E, 3 * hidden) concatenation alone would add 1.6 MB,
-    # one (E, hidden) gather 0.5 MB
-    rows = (n + num_edges) * hidden
-    assert kept < rows * (4 + 4 + 1) + 0.25 * num_edges * hidden * 4
+    # the outputs and their two bool dropout masks; three (V, hidden) float
+    # arrays; one (E, hidden / 3 + 2) float array; and a little index and
+    # bookkeeping, under a tenth of an (E, hidden) float array. One more
+    # (E, hidden) float array, such as b W_b, would add 0.5 MB, and the
+    # (E, 3 * hidden) concatenation 1.6 MB
+    outputs = (n + num_edges) * hidden * (4 + 1)
+    floats = 3 * n * hidden * 4 + num_edges * (hidden // 3 + 2) * 4
+    assert kept < outputs + floats + 0.1 * num_edges * hidden * 4
 
 
 # ---------------------------------------------------------------------------
