@@ -706,18 +706,10 @@ def _arc_resample_once(pts, d):
     return np.stack([x, y], axis=1)
 
 
-def loop_resample_stroke(points, d):
-    """Equal-chord resampling of raw (m, 2) points to (2, d) coords: each pass
-    recomputes arc positions from the points and targets with np.linspace,
-    until the chord spread is at most 1e-9 of the mean or 512 passes."""
-    out = _arc_resample_once(np.asarray(points, dtype=np.float64), d)
-    for _ in range(512):
-        seg = np.hypot(*np.diff(out, axis=0).T)
-        m = seg.mean()
-        if m <= 0 or (seg.max() - seg.min()) <= 1e-9 * m:
-            break
-        out = _arc_resample_once(out, d)
-    return out.T
+def arc_resample_stroke(points, d):
+    """Equal-arc resampling of raw (m, 2) points to (2, d) coords in one pass:
+    arc positions from np.cumsum, targets from np.linspace."""
+    return _arc_resample_once(np.asarray(points, dtype=np.float64), d).T
 
 
 def numpy_scalar_convex_hull(points):

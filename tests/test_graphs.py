@@ -25,7 +25,7 @@ from inkgraph.labels import (POSITIONAL_RELATIONS, SAME_SYMBOL, AlignedLabels, L
                              Vocabulary, align_labels)
 from inkgraph.synth import compose, generate_synthetic
 
-from oracles import (brute_force_visibility, edge_rows_at, graph_from_json, loop_resample_stroke,
+from oracles import (arc_resample_stroke, brute_force_visibility, edge_rows_at, graph_from_json,
                      looped_edge_features, numpy_scalar_convex_hull, pair_directional_features,
                      per_source_line_of_sight, scalar_line_of_sight)
 
@@ -376,7 +376,7 @@ def test_resample_and_convex_hull_match_their_oracles_bit_for_bit():
     for k, (expr, d) in enumerate(cases):
         for s in normalize_expression(expr).strokes:
             coords = resample_stroke(s, d).coords
-            assert _same_bits(coords, loop_resample_stroke(s.points, d)), (k, d, s.index)
+            assert _same_bits(coords, arc_resample_stroke(s.points, d)), (k, d, s.index)
             hull = convex_hull(coords.T)
             assert _same_bits(hull, numpy_scalar_convex_hull(coords.T)), (k, d, s.index)
 
@@ -438,11 +438,12 @@ def test_build_local_graph_matches_oracle_graph_bit_for_bit(config, monkeypatch)
     scenes, long = _oracle_scene_exprs()
     exprs = scenes + (long if cfg.d_n == 150 else [])
     built = [build_local_graph(expr, cfg) for expr in exprs]
-    # the oracle graph: loop resampling, NumPy-scalar hulls (line_of_sight looks
-    # convex_hull up in its module) and one feature call per support pair
+    # the oracle graph: one-pass arc resampling, NumPy-scalar hulls
+    # (line_of_sight looks convex_hull up in its module) and one feature call
+    # per support pair
     monkeypatch.setattr(graphs_module, "convex_hull", numpy_scalar_convex_hull)
     for k, (expr, g) in enumerate(zip(exprs, built)):
-        strokes = [ResampledStroke(coords=loop_resample_stroke(s.points, cfg.d_n))
+        strokes = [ResampledStroke(coords=arc_resample_stroke(s.points, cfg.d_n))
                    for s in normalize_expression(expr).strokes]
         if cfg.full_connect:
             adj = np.ones_like(g.adjacency) - np.eye(len(strokes), dtype=np.int8)

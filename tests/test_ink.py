@@ -11,7 +11,7 @@ from inkgraph.ink import (InkError, InkExpression, ResampledStroke, Stroke,
                           resample_stroke)
 from inkgraph.labels import serialize_lg
 
-from oracles import loop_resample_stroke
+from oracles import arc_resample_stroke
 
 INKML = """<ink xmlns="http://www.w3.org/2003/InkML">
   <annotation type="UI">2013_expr_042</annotation>
@@ -116,20 +116,47 @@ def test_parse_lg_errors_carry_line_numbers():
         parse_lg(b"N, s0, \xff, 1.0\n")
 
 
-def _chords(rs):
-    return np.hypot(*np.diff(rs.coords, axis=1))
+def _on_polyline(pts, samples):
+    """Each sample's distance from the polyline pts, and its arc position on
+    the nearest segment."""
+    a, v = pts[:-1], np.diff(pts, axis=0)
+    seg2 = np.einsum("ij,ij->i", v, v)
+    rel = samples[:, None, :] - a[None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(seg2 > 0, np.einsum("kij,ij->ki", rel, v) / seg2, 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    dist = np.hypot(*(rel - t[..., None] * v).transpose(2, 0, 1))
+    k = np.argmin(dist, axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(np.sqrt(seg2))])
+    rows = np.arange(len(samples))
+    return dist[rows, k], cum[k] + t[rows, k] * np.sqrt(seg2)[k]
 
 
-def test_resample_produces_equal_chords_and_keeps_endpoints():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        pts = np.cumsum(rng.standard_normal((rng.integers(2, 30), 2)), axis=0)
-        rs = resample_stroke(Stroke(pts), 16)
-        assert rs.coords.shape == (2, 16)
-        seg = _chords(rs)
-        assert seg.max() - seg.min() <= 1e-6 * max(seg.mean(), 1e-12)
-        assert np.allclose(rs.coords[:, 0], pts[0], atol=1e-9)
-        assert np.allclose(rs.coords[:, -1], pts[-1], atol=1e-9)
+def _random_walks(seed, count):
+    rng = np.random.default_rng(seed)
+    return [np.cumsum(rng.standard_normal((rng.integers(2, 30), 2)), axis=0)
+            for _ in range(count)]
+
+
+def test_resample_samples_lie_on_the_input_polyline():
+    for pts in _random_walks(0, 20):
+        diag = Stroke(pts).bbox_diagonal()
+        for d in (2, 16, 150):
+            rs = resample_stroke(Stroke(pts), d)
+            assert rs.coords.shape == (2, d)
+            dist, _ = _on_polyline(pts, rs.coords.T)
+            assert dist.max() <= 1e-12 * diag, (d, dist.max() / diag)
+
+
+def test_resample_takes_equal_arc_steps_between_exact_endpoints():
+    for pts in _random_walks(1, 20):
+        total = np.hypot(*np.diff(pts, axis=0).T).sum()
+        for d in (2, 16, 150):
+            rs = resample_stroke(Stroke(pts), d)
+            assert np.array_equal(rs.coords[:, 0], pts[0])
+            assert np.array_equal(rs.coords[:, -1], pts[-1])
+            _, arc = _on_polyline(pts, rs.coords.T)
+            assert np.max(np.abs(np.diff(arc) - total / (d - 1))) <= 1e-12 * total, d
 
 
 def test_resample_straight_line_gives_exact_uniform_spacing():
@@ -140,15 +167,6 @@ def test_resample_straight_line_gives_exact_uniform_spacing():
     assert rs.num_samples == 150
     assert np.allclose(rs.coords[0], 0.0)
     assert np.allclose(np.diff(rs.coords[1]), 10.0 / 149.0, atol=1e-9)
-
-
-def test_resample_is_idempotent():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        pts = np.cumsum(rng.standard_normal((12, 2)), axis=0)
-        once = resample_stroke(Stroke(pts), 10)
-        twice = resample_stroke(once, 10)
-        assert np.max(np.abs(once.coords - twice.coords)) <= 1e-6
 
 
 def test_resample_zero_length_replicates_the_point():
@@ -169,7 +187,7 @@ def test_resample_quarter_circle_matches_equal_arc_oracle():
     assert np.max(np.abs(rs.coords - want)) < 1e-4
 
 
-def test_resample_matches_loop_oracle_on_hand_built_strokes():
+def test_resample_matches_arc_oracle_on_hand_built_strokes():
     line = np.linspace(0.0, 3.0, 7)
     cases = {
         "dot": [[0.5, -0.25]],
@@ -185,10 +203,10 @@ def test_resample_matches_loop_oracle_on_hand_built_strokes():
         pts = np.asarray(pts, dtype=np.float64)
         for d in (2, 3, 12, 150):
             got = resample_stroke(Stroke(pts), d).coords
-            want = loop_resample_stroke(pts, d)
+            want = arc_resample_stroke(pts, d)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, d)
             again = resample_stroke(ResampledStroke(coords=got), d).coords
-            assert again.tobytes() == loop_resample_stroke(got.T, d).tobytes(), (name, d)
+            assert again.tobytes() == arc_resample_stroke(got.T, d).tobytes(), (name, d)
 
 
 def test_resample_rejects_tiny_sample_count():

@@ -549,7 +549,8 @@ def test_fit_best_params_are_a_separate_snapshot_of_the_best_epoch():
         tcfg = TrainConfig(lr=0.05, batch_size=2, max_epochs=epochs, seed=3)
         return fit(items, items, mcfg, tcfg, edge_dim=gcfg.edge_dim)
 
-    result = run(6)
+    # long enough that the last epoch does not improve: the premise below
+    result = run(7)
     val = [r["val_loss"] for r in result.history]
     improving = [k for k in range(len(val)) if val[k] < min(val[:k], default=np.inf)]
     assert len(improving) >= 2 and improving[-1] < len(val) - 1, val
